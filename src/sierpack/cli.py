@@ -45,11 +45,16 @@ def _graph_from_spec(spec: str) -> Graph:
             return star(int(m.group(3)))
         kind, num = m.group(1), int(m.group(2))
         return {"K": complete, "P": path, "S": star}[kind](num)
+    return _read_graph(spec)
+
+
+def _read_graph(filename: str) -> Graph:
+    """Parse a graph file; an unreadable file is malformed input."""
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(filename, "r", encoding="utf-8") as fh:
             return sniff_parse(fh.read())
     except OSError as exc:
-        raise InputFormatError(f"cannot read graph {spec!r}: {exc}") from None
+        raise InputFormatError(f"cannot read graph {filename!r}: {exc}") from None
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -107,8 +112,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_chirho(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = sniff_parse(fh.read())
+    g = _read_graph(args.graph)
     budget = _checked_budget(args.budget)
     if args.decision is not None:
         witness = chi_rho_decision(g, args.decision, node_budget=budget,
@@ -228,8 +232,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = sniff_parse(fh.read())
+    g = _read_graph(args.graph)
     out = recognize_tree_product_cli(g, args.exhaustive)
     _emit(out, args.json)
     return EXIT_OK

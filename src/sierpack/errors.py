@@ -45,7 +45,8 @@ class EnumerationBudgetExceeded(SierpackError, RuntimeError):
 
 
 class ConstructionError(SierpackError, RuntimeError):
-    """A constructive coloring failed its own verification (internal bug)."""
+    """A construction (a product graph or a constructive coloring) failed
+    its own verification (internal bug)."""
 
 
 class ConstructionOutOfRange(SierpackError, RuntimeError):

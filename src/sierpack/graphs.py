@@ -207,8 +207,25 @@ def diameter(g: Graph) -> float:
     return distances(g).diameter
 
 
+def reachable(g: Graph, start: int = 0,
+              without: Optional[tuple[int, int]] = None) -> list[int]:
+    """The vertices reachable from start, in BFS order, optionally without
+    crossing the edge ``without``.  O(n + m) time and memory."""
+    a, b = without if without is not None else (-1, -1)
+    seen = bytearray(g.order)
+    seen[start] = 1
+    order = [start]
+    for v in order:
+        for w in g.adj[v]:
+            if not seen[w] and not ((v == a and w == b) or (v == b and w == a)):
+                seen[w] = 1
+                order.append(w)
+    return order
+
+
 def is_connected(g: Graph) -> bool:
-    return distances(g).is_connected
+    """True iff every vertex is reachable from vertex 0 (one BFS)."""
+    return len(reachable(g)) == g.order
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +311,64 @@ def tree_centers(g: Graph) -> list[int]:
     return sorted(v for v in range(n) if not removed[v])
 
 
-def _rooted_canon(g: Graph, root: int, parent: int) -> str:
-    children = sorted(_rooted_canon(g, c, root)
-                      for c in g.adj[root] if c != parent)
-    return "(" + "".join(children) + ")"
+def tree_preorder(adj, root: int, blocked: Optional[bytearray] = None
+                  ) -> tuple[list[int], list[int]]:
+    """Iterative DFS from root, never entering a vertex marked in
+    ``blocked`` (a bytearray indexed by vertex; it is not modified): the
+    vertices reached, in preorder, and ``parent[v]`` for each (-1 at the
+    root and at vertices not reached).  On a tree every subtree is a
+    contiguous slice of the preorder, starting at its root."""
+    parent = [-1] * len(adj)
+    seen = bytearray(len(adj)) if blocked is None else bytearray(blocked)
+    seen[root] = 1
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                stack.append(w)
+    return order, parent
+
+
+def _rooted_canon(g: Graph, root: int) -> str:
+    """Parenthesis encoding of the tree rooted at root: each vertex is "("
+    followed by its children's encodings in sorted order and ")".  One
+    postorder pass; a child's code is dropped once its parent's is built,
+    so the codes alive at any time have total length O(n)."""
+    order, parent = tree_preorder(g.adj, root)
+    code: dict[int, str] = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(
+            code.pop(w) for w in g.adj[v] if parent[w] == v)) + ")"
+    return code[root]
+
+
+def _ahu_labels(g: Graph, root: int, table: dict) -> tuple[list[int], list[int]]:
+    """Integer AHU labels of the tree rooted at root (Aho, Hopcroft and
+    Ullman 1974), with the parent array of that rooting.  Two subtrees,
+    of this tree or of any other labelled with the same ``table``, get
+    equal labels exactly when they are isomorphic as rooted trees, that is
+    exactly when their ``_rooted_canon`` strings are equal."""
+    order, parent = tree_preorder(g.adj, root)
+    label = [0] * g.order
+    for v in reversed(order):
+        key = tuple(sorted(label[w] for w in g.adj[v] if parent[w] == v))
+        label[v] = table.setdefault(key, len(table))
+    return label, parent
 
 
 def tree_canonical_form(g: Graph) -> str:
     """Canonical encoding of a free tree: rooted encoding at the center,
     taking the lexicographic minimum when there are two centers."""
-    return min(_rooted_canon(g, c, -1) for c in tree_centers(g))
+    return min(_rooted_canon(g, c) for c in tree_centers(g))
 
 
 def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
-    """True iff two trees are isomorphic (canonical encodings at centers)."""
+    """True iff two trees are isomorphic (AHU labels at their centers)."""
     for t in (t1, t2):
         if not is_tree(t):
             raise NotATreeError("tree_isomorphic requires tree inputs")
@@ -315,35 +376,38 @@ def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
             t1.degree(v) for v in range(t1.order)) != sorted(
             t2.degree(v) for v in range(t2.order)):
         return False
-    return tree_canonical_form(t1) == tree_canonical_form(t2)
+    table: dict = {}
+    forms = [min(_ahu_labels(t, c, table)[0][c] for c in tree_centers(t))
+             for t in (t1, t2)]
+    return forms[0] == forms[1]
+
+
+def _pair_rooted(t1: Graph, r1: int, lab1, t2: Graph, r2: int, lab2
+                 ) -> Optional[dict[int, int]]:
+    """The rooted isomorphism (t1, r1) -> (t2, r2) read off AHU labels from
+    one table, ``lab = (label, parent)``, or None when the roots' labels
+    differ.  Children with equal labels are paired in vertex order, which
+    is valid because equal labels are interchangeable."""
+    (l1, p1), (l2, p2) = lab1, lab2
+    if l1[r1] != l2[r2]:
+        return None
+    mapping: dict[int, int] = {}
+    stack = [(r1, r2)]
+    while stack:
+        v1, v2 = stack.pop()
+        mapping[v1] = v2
+        c1 = sorted((l1[c], c) for c in t1.adj[v1] if p1[c] == v1)
+        c2 = sorted((l2[c], c) for c in t2.adj[v2] if p2[c] == v2)
+        stack.extend((a, b) for (_, a), (_, b) in zip(c1, c2))
+    return mapping
 
 
 def rooted_tree_iso_map(t1: Graph, r1: int, t2: Graph, r2: int) -> Optional[dict[int, int]]:
     """An isomorphism of rooted trees (t1, r1) -> (t2, r2) as a vertex map,
-    or None if none exists.  Children with equal canonical forms are paired
-    greedily, which is valid because equal forms are interchangeable."""
-
-    def canon(g, v, parent):
-        return _rooted_canon(g, v, parent)
-
-    mapping: dict[int, int] = {}
-
-    def pair(v1, p1, v2, p2) -> bool:
-        c1 = sorted((canon(t1, c, v1), c) for c in t1.adj[v1] if c != p1)
-        c2 = sorted((canon(t2, c, v2), c) for c in t2.adj[v2] if c != p2)
-        if [s for s, _ in c1] != [s for s, _ in c2]:
-            return False
-        mapping[v1] = v2
-        for (_, a), (_, b) in zip(c1, c2):
-            if not pair(a, v1, b, v2):
-                return False
-        return True
-
-    if canon(t1, r1, -1) != canon(t2, r2, -1):
-        return None
-    if not pair(r1, -1, r2, -1):
-        return None
-    return mapping
+    or None if none exists.  Each tree is labelled once."""
+    table: dict = {}
+    return _pair_rooted(t1, r1, _ahu_labels(t1, r1, table),
+                        t2, r2, _ahu_labels(t2, r2, table))
 
 
 def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
@@ -357,8 +421,10 @@ def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
     c2 = tree_centers(t2)
     if len(c1) != len(c2):
         return None
+    table: dict = {}
+    lab1 = _ahu_labels(t1, c1[0], table)
     for r2 in c2:
-        m = rooted_tree_iso_map(t1, c1[0], t2, r2)
+        m = _pair_rooted(t1, c1[0], lab1, t2, r2, _ahu_labels(t2, r2, table))
         if m is not None:
             return m
     return None

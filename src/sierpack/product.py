@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .coloring import PackingColoring, chi_rho_exact
-from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
-                     InputFormatError, SearchBudgetExceeded)
+from .errors import (ConstructionError, EnumerationBudgetExceeded,
+                     FactorMismatchError, InputFormatError,
+                     SearchBudgetExceeded)
 from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -120,7 +121,10 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
         connecting.append((e, (g1, g2)))
     labels = tuple(f"({gv},{hv})" for gv in range(g.order) for hv in range(nh))
     graph = Graph.from_edges(g.order * nh, edges, labels)
-    assert graph.size == g.order * h.size + g.size
+    if graph.size != g.order * h.size + g.size:
+        raise ConstructionError(
+            f"product has {graph.size} edges, expected "
+            f"{g.order * h.size + g.size}")
     return ProductGraph(graph, g, h, f, tuple(connecting))
 
 

@@ -25,11 +25,13 @@ rejecting a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from .errors import InconsistentTraceError
-from .graphs import (Graph, is_connected, is_tree, rooted_tree_iso_map,
-                     tree_canonical_form, tree_iso_map, tree_isomorphic)
+from .graphs import (Graph, is_connected, is_tree, reachable,
+                     rooted_tree_iso_map, tree_canonical_form, tree_iso_map,
+                     tree_isomorphic, tree_preorder)
 from .product import VertexMap, sierpinski_product
 
 
@@ -41,55 +43,22 @@ def pendant_split_edges(x: Graph, n2: int) -> list[tuple[int, int]]:
     n = x.order
     if n2 < 1 or n2 >= n:
         return []
-    if is_tree(x):
-        sizes = _subtree_sizes(x.adj, range(n), 0)
-        out = []
-        for u, v in x.edges():
-            child = v if sizes[v] < sizes[u] else u
-            if sizes[child] in (n2, n - n2):
-                out.append((u, v))
-        return out
-    out = []
-    for u, v in x.edges():
-        side = _component_without_edge(x.adj, u, (u, v))
-        if v not in side and len(side) in (n2, n - n2):
-            out.append((u, v))
-    return out
+    if x.size == n - 1:
+        order, parent = tree_preorder(x.adj, 0)
+        size = _subtree_sizes(order, parent)
+        return [(u, v) for u, v in x.edges()
+                if size[v if parent[v] == u else u] in (n2, n - n2)]
+    # an edge on a cycle leaves all n vertices on u's side, never n2 or n - n2
+    return [(u, v) for u, v in x.edges()
+            if len(reachable(x, u, (u, v))) in (n2, n - n2)]
 
 
-def _subtree_sizes(adj, vertices, root) -> dict[int, int]:
-    """Subtree sizes of the tree induced on `vertices`, rooted at root."""
-    alive = set(vertices)
-    parent = {root: -1}
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w in alive and w not in parent:
-                parent[w] = v
-                stack.append(w)
-    sizes = {v: 1 for v in order}
-    for v in reversed(order):
-        if parent[v] != -1:
-            sizes[parent[v]] += sizes[v]
-    return sizes
-
-
-def _component_without_edge(adj, start, removed) -> set[int]:
-    ru, rv = removed
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if {v, w} == {ru, rv}:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _subtree_sizes(order: list[int], parent: list[int]) -> list[int]:
+    """Subtree sizes from a rooted preorder, indexed by vertex."""
+    size = [1] * len(parent)
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -236,87 +205,99 @@ def recognize_tree_product(x: Graph, exhaustive: bool = False) -> RecognitionOut
     return RecognitionOutcome(status, found, diagnostics)
 
 
-def _split_candidates(x: Graph, remaining: frozenset[int], n2: int
-                      ) -> list[tuple[tuple[int, int], frozenset[int]]]:
-    """Deterministically ordered ((near, far), fiber-side) candidates on the
-    subtree induced by `remaining`."""
-    root = min(remaining)
-    sizes = _subtree_sizes(x.adj, remaining, root)
-    total = len(remaining)
-    out = []
-    for u in sorted(remaining):
-        for v in x.adj[u]:
-            if u < v and v in sizes:
-                child = v if sizes[v] < sizes[u] else u
-                other = u if child == v else v
-                if sizes[child] == n2:
-                    side = frozenset(_component_without_edge_sub(
-                        x.adj, remaining, child, (u, v)))
-                    out.append(((child, other), side))
-                if total - sizes[child] == n2 and total - sizes[child] != sizes[child]:
-                    side = frozenset(remaining - _component_without_edge_sub(
-                        x.adj, remaining, child, (u, v)))
-                    out.append(((other, child), side))
-    return out
+def _split_candidates(x: Graph, peeled: bytearray, n2: int
+                      ) -> Iterator[tuple[tuple[int, int], list[int]]]:
+    """Lazily yield the ((near, far), fiber-side) candidates of the subtree
+    left after removing the ``peeled`` vertices, ordered by the edge's
+    lower endpoint, then its higher one.
+
+    One preorder pass from the lowest vertex left gives every subtree size,
+    and the subtree below an edge is a slice of that preorder, so a side
+    costs only the time to copy it, and only when it is asked for.
+    """
+    order, parent = tree_preorder(x.adj, peeled.index(0), peeled)
+    size = _subtree_sizes(order, parent)
+    total = len(order)
+    # every edge joins a non-root vertex to its parent; when both sides
+    # have order n2, the subtree side is the candidate
+    hits = []
+    for lo in range(1, total):
+        child = order[lo]
+        if size[child] == n2 or total - size[child] == n2:
+            other = parent[child]
+            hits.append((min(child, other), max(child, other), lo))
+    for _, _, lo in sorted(hits):
+        child, k = order[lo], size[order[lo]]
+        if k == n2:
+            yield (child, parent[child]), order[lo:lo + k]
+        else:
+            yield (parent[child], child), order[:lo] + order[lo + k:]
 
 
-def _component_without_edge_sub(adj, alive, start, removed):
-    ru, rv = removed
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in alive or {v, w} == {ru, rv} or w in seen:
+def _peel(x: Graph, n2: int, exhaustive: bool
+          ) -> tuple[Optional[PeelTrace], str]:
+    """Peel fibers of order n2 off x until n2 vertices remain.
+
+    Greedy mode takes the first candidate at every step and keeps nothing
+    to go back to.  Exhaustive mode keeps, for every peel on the current
+    path, the candidates not yet tried, and backtracks through them in
+    depth-first order.  Returns the trace, or None and the last reason a
+    branch failed.
+    """
+    reason = ("no pendant split edge isolates a component of order "
+              f"{n2} at the first step")
+    steps: list[PeelStep] = []
+    frames = []  # (reference, untried candidates) per peel on the path
+    peeled = bytearray(x.order)  # 1 marks a vertex of a peeled fiber
+    reference: Optional[Graph] = None
+    while True:
+        if x.order - n2 * len(steps) == n2:
+            final = tuple(v for v in range(x.order) if not peeled[v])
+            if reference is None or tree_isomorphic(x.induced(final),
+                                                    reference):
+                return PeelTrace(x, tuple(steps), final), "ok"
+            reason = "last remaining component does not match the fiber"
+            cands: Iterator = iter(())
+        else:
+            cands = _split_candidates(x, peeled, n2)
+            first = next(cands, None)
+            if first is None:
+                reason = (f"after {len(steps)} peels no pendant split edge "
+                          f"isolates a component of order {n2}")
+            else:
+                cands = chain((first,), cands if exhaustive else ())
+        while True:
+            cand = next(cands, None)
+            if cand is None:
+                if not frames:
+                    return None, reason
+                reference, cands = frames.pop()
+                for v in steps.pop().component:
+                    peeled[v] = 0
                 continue
-            seen.add(w)
-            stack.append(w)
-    return seen
+            (near, far), side = cand
+            comp = tuple(sorted(side))
+            sub = x.induced(comp)
+            if reference is not None and not tree_isomorphic(sub, reference):
+                reason = (f"peeled component at step {len(steps)} is not "
+                          "isomorphic to the first fiber")
+                continue
+            if exhaustive:
+                frames.append((reference, cands))
+            steps.append(PeelStep(len(steps), (near, far), comp))
+            for v in comp:
+                peeled[v] = 1
+            if reference is None:
+                reference = sub
+            break
 
 
 def _try_split(x: Graph, n1: int, n2: int, exhaustive: bool
                ) -> tuple[Optional[Factorization], str]:
-    """Peel n1 - 1 fibers of order n2 off x; greedy or with backtracking."""
-    reason = ["no pendant split edge isolates a component of order "
-              f"{n2} at the first step"]
-
-    def attempt(remaining: frozenset[int], steps: list[PeelStep],
-                reference: Optional[Graph]) -> Optional[PeelTrace]:
-        if len(remaining) == n2:
-            final = tuple(sorted(remaining))
-            if reference is not None and not tree_isomorphic(
-                    x.induced(final), reference):
-                reason[0] = "last remaining component does not match the fiber"
-                return None
-            return PeelTrace(x, tuple(steps), final)
-        cands = _split_candidates(x, remaining, n2)
-        if not cands:
-            reason[0] = (f"after {len(steps)} peels no pendant split edge "
-                         f"isolates a component of order {n2}")
-            return None
-        if not exhaustive:
-            cands = cands[:1]
-        for (near, far), side in cands:
-            comp = tuple(sorted(side))
-            sub = x.induced(comp)
-            if reference is None:
-                ref = sub
-            elif tree_isomorphic(sub, reference):
-                ref = reference
-            else:
-                reason[0] = (f"peeled component at step {len(steps)} is not "
-                             "isomorphic to the first fiber")
-                continue
-            steps.append(PeelStep(len(steps), (near, far), comp))
-            trace = attempt(remaining - side, steps, ref)
-            if trace is not None:
-                return trace
-            steps.pop()
-        return None
-
-    trace = attempt(frozenset(range(x.order)), [], None)
+    """Peel n1 - 1 fibers of order n2 off x, then rebuild and certify."""
+    trace, reason = _peel(x, n2, exhaustive)
     if trace is None:
-        return None, reason[0]
+        return None, reason
     base = Graph.from_edges(n1, trace.base_edges())
     fiber = x.induced(trace.steps[0].component)
     try:

@@ -168,3 +168,19 @@ def test_commands_are_deterministic(capsys, tmp_path):
     _, r1 = _run(capsys, "recognize", str(gfile), "--exhaustive")
     _, r2 = _run(capsys, "recognize", str(gfile), "--exhaustive")
     assert r1 == r2
+
+
+def test_missing_graph_file_is_malformed_input(tmp_path):
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    missing = str(tmp_path / "missing.txt")
+    for command in ("recognize", "chirho"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sierpack.cli", command, missing],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cannot read graph" in proc.stderr

@@ -6,8 +6,9 @@ import pytest
 
 from sierpack.errors import GraphTooLargeError, NotATreeError
 from sierpack.graphs import (Graph, complete, corona, diameter, distances,
-                             independence_number, is_tree, path, random_tree,
-                             star, tree_canonical_form, tree_iso_map,
+                             free_trees, independence_number, is_connected,
+                             is_tree, path, random_tree, reachable, star,
+                             tree_canonical_form, tree_centers, tree_iso_map,
                              tree_isomorphic, two_packing_number)
 from sierpack.product import VertexMap, sierpinski_product
 
@@ -174,3 +175,67 @@ def test_generators():
 def test_canonical_form_separates_small_trees():
     forms = {tree_canonical_form(t) for t in (path(4), star(3))}
     assert len(forms) == 2
+
+
+def _random_graph(n, p, rng):
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                if rng.random() < p])
+
+
+def test_is_connected_agrees_with_distance_matrix():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        g = _random_graph(rng.randint(1, 12), rng.choice((0.1, 0.2, 0.4)), rng)
+        expected = distances(g).is_connected
+        assert is_connected(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_reachable_without_an_edge():
+    assert sorted(reachable(path(5), 1, (2, 3))) == [0, 1, 2]
+    assert sorted(reachable(path(5), 3, (3, 2))) == [3, 4]
+    cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert sorted(reachable(cycle, 0, (0, 1))) == [0, 1, 2, 3]
+    assert reachable(Graph.from_edges(3, [(1, 2)])) == [0]
+
+
+def _reference_canon(g, root, parent=-1):
+    # the recursive encoding the iterative one must reproduce exactly
+    return "(" + "".join(sorted(_reference_canon(g, c, root)
+                                for c in g.adj[root] if c != parent)) + ")"
+
+
+def _reference_form(g):
+    return min(_reference_canon(g, c) for c in tree_centers(g))
+
+
+def test_canonical_form_matches_recursive_reference():
+    for n in range(1, 10):
+        for t in free_trees(n):
+            assert tree_canonical_form(t) == _reference_form(t)
+    rng = random.Random(12)
+    for _ in range(100):
+        t = random_tree(rng.randint(1, 60), rng)
+        assert tree_canonical_form(t) == _reference_form(t)
+
+
+def test_free_tree_counts():
+    # OEIS A000055
+    assert [len(free_trees(n)) for n in range(1, 10)] == \
+        [1, 1, 1, 2, 3, 6, 11, 23, 47]
+
+
+def test_isomorphism_agrees_with_canonical_form():
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        t1, t2 = random_tree(n, rng), random_tree(n, rng)
+        same = tree_canonical_form(t1) == tree_canonical_form(t2)
+        assert tree_isomorphic(t1, t2) == same
+        m = tree_iso_map(t1, t2)
+        assert (m is not None) == same
+        if m is not None:
+            assert sorted(m.values()) == list(range(n))
+            assert all(t2.has_edge(m[u], m[v]) for u, v in t1.edges())

@@ -1,10 +1,14 @@
 import random
+import sys
+from contextlib import contextmanager
 
+from sierpack.families import path_path_min_map
 from sierpack.graphs import (Graph, free_trees, path, random_tree, star,
-                             tree_canonical_form, tree_isomorphic)
+                             tree_canonical_form, tree_iso_map,
+                             tree_isomorphic)
 from sierpack.product import VertexMap, sierpinski_product
-from sierpack.recognition import (pendant_split_edges, recognize_tree_product,
-                                  reconstruct_map)
+from sierpack.recognition import (_split_candidates, pendant_split_edges,
+                                  recognize_tree_product, reconstruct_map)
 
 
 def test_pendant_split_examples():
@@ -150,3 +154,129 @@ def test_factorizations_deduplicated_by_shape():
     shapes = [(tree_canonical_form(f.base), tree_canonical_form(f.fiber))
               for f in out.factorizations]
     assert len(shapes) == len(set(shapes))
+
+
+def test_recognize_long_path_product():
+    vmap, _ = path_path_min_map(40, 30)
+    prod = sierpinski_product(path(40), path(30), vmap)
+    out = recognize_tree_product(prod.graph)
+    assert out.status == "factored"
+    for fact in out.factorizations:
+        rebuilt = sierpinski_product(fact.base, fact.fiber, fact.vmap)
+        assert tree_isomorphic(rebuilt.graph, prod.graph)
+
+
+@contextmanager
+def _shallow_stack(headroom=100):
+    """Allow only `headroom` frames beyond the current stack depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_tree_layer_depth_does_not_grow_with_input():
+    long_path = path(1000)
+    perm = list(range(1000))
+    random.Random(43).shuffle(perm)
+    rng = random.Random(44)
+    base, fiber = random_tree(120, rng), random_tree(3, rng)
+    f = VertexMap(120, 3, tuple(rng.randrange(3) for _ in range(120)))
+    prod = sierpinski_product(base, fiber, f).graph
+    with _shallow_stack():
+        # rooted at a center: two chains, of 500 and 499 vertices
+        assert tree_canonical_form(long_path) == \
+            "(" + "(" * 500 + ")" * 500 + "(" * 499 + ")" * 499 + ")"
+        assert tree_iso_map(long_path, long_path.relabel(perm)) is not None
+        out = recognize_tree_product(prod)
+    assert out.status == "factored"
+    assert any(fact.base.order == 120 for fact in out.factorizations)
+
+
+# the eager candidate list the lazy generator replaced, kept as its oracle
+
+def _old_subtree_sizes(adj, vertices, root):
+    alive = set(vertices)
+    parent = {root: -1}
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if w in alive and w not in parent:
+                parent[w] = v
+                stack.append(w)
+    sizes = {v: 1 for v in order}
+    for v in reversed(order):
+        if parent[v] != -1:
+            sizes[parent[v]] += sizes[v]
+    return sizes
+
+
+def _old_component_without_edge_sub(adj, alive, start, removed):
+    ru, rv = removed
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in alive or {v, w} == {ru, rv} or w in seen:
+                continue
+            seen.add(w)
+            stack.append(w)
+    return seen
+
+
+def _old_split_candidates(x, remaining, n2):
+    root = min(remaining)
+    sizes = _old_subtree_sizes(x.adj, remaining, root)
+    total = len(remaining)
+    out = []
+    for u in sorted(remaining):
+        for v in x.adj[u]:
+            if u < v and v in sizes:
+                child = v if sizes[v] < sizes[u] else u
+                other = u if child == v else v
+                if sizes[child] == n2:
+                    side = frozenset(_old_component_without_edge_sub(
+                        x.adj, remaining, child, (u, v)))
+                    out.append(((child, other), side))
+                if total - sizes[child] == n2 and total - sizes[child] != sizes[child]:
+                    side = frozenset(remaining - _old_component_without_edge_sub(
+                        x.adj, remaining, child, (u, v)))
+                    out.append(((other, child), side))
+    return out
+
+
+def test_split_candidates_match_eager_oracle():
+    rng = random.Random(45)
+    compared = 0
+    for _ in range(60):
+        n1, n2 = rng.randint(2, 8), rng.randint(2, 8)
+        t1, t2 = random_tree(n1, rng), random_tree(n2, rng)
+        f = VertexMap(n1, n2, tuple(rng.randrange(n2) for _ in range(n1)))
+        x = sierpinski_product(t1, t2, f).graph
+        perm = list(range(x.order))
+        rng.shuffle(perm)
+        x = x.relabel(perm)
+        remaining = frozenset(range(x.order))
+        peeled = bytearray(x.order)
+        # walk one random peel path, comparing the candidates at every step
+        while len(remaining) > n2:
+            new = [(edge, frozenset(side)) for edge, side
+                   in _split_candidates(x, peeled, n2)]
+            assert new == _old_split_candidates(x, remaining, n2)
+            compared += 1
+            if not new:
+                break
+            side = new[rng.randrange(len(new))][1]
+            remaining = remaining - side
+            for v in side:
+                peeled[v] = 1
+    assert compared > 100
