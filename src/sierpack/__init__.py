@@ -20,14 +20,14 @@ from .families import (FamilyValue, SpineDecomposition, color_class_T,
                        star_star_min_map, star_star_values_and_colorings)
 from .formats import (emit_dot, emit_graph_text, parse_graph6,
                       parse_graph_text, sniff_parse)
-from .graphs import (DistanceMatrix, Graph, complete, corona, diameter,
+from .graphs import (Balls, Graph, complete, corona, diameter,
                      distances, free_trees, independence_number, is_connected,
                      is_tree, max_packing, path, random_tree, star,
                      tree_canonical_form, tree_iso_map, tree_isomorphic,
                      two_packing_number)
 from .product import (EdgeKind, ProductGraph, SierpinskiChiResult, VertexMap,
-                      automorphisms, connecting_edges, enumerate_maps,
-                      sierpinski_chi, sierpinski_product)
+                      automorphisms, enumerate_maps, sierpinski_chi,
+                      sierpinski_product)
 from .recognition import (Factorization, PeelStep, PeelTrace,
                           RecognitionOutcome, pendant_split_edges,
                           recognize_tree_product, reconstruct_map)

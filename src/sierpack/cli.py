@@ -71,9 +71,16 @@ def _witness_dict(g: Graph, coloring) -> dict:
             "colors": list(coloring.colors), "verified": bool(ver.ok)}
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputFormatError(f"{what} {text!r} is not an integer") from None
+
+
 def _default_budget() -> Optional[int]:
     raw = os.environ.get("SIERPACK_NODE_BUDGET")
-    return int(raw) if raw else None
+    return _integer(raw, "SIERPACK_NODE_BUDGET") if raw else None
 
 
 def _checked_budget(budget: Optional[int]) -> Optional[int]:
@@ -153,11 +160,18 @@ def _cmd_schirho(args) -> int:
     return EXIT_OK if result.complete else EXIT_BUDGET
 
 
+class _Params(dict):
+    """The --params of a family; a missing one is malformed input."""
+
+    def __missing__(self, key):
+        raise InputFormatError(f"--params lacks {key}")
+
+
 def _cmd_family(args) -> int:
-    params = {}
+    params = _Params()
     for item in (args.params.split(",") if args.params else []):
         key, _, val = item.partition("=")
-        params[key.strip()] = int(val)
+        params[key.strip()] = _integer(val, f"--params {key.strip()}")
     name = args.name
     coloring = None
     graph = None

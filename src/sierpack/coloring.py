@@ -2,7 +2,7 @@
 
 A packing coloring assigns each vertex a color in 1..k so that two distinct
 vertices sharing color l are at distance greater than l.  The exact solver
-is a deterministic branch-and-bound over the distance matrix:
+is a deterministic branch-and-bound over distance-ball bitmasks:
 
 * vertices are colored in descending-degree order (ties by index), colors
   tried in ascending order;
@@ -78,32 +78,34 @@ def verify_packing_coloring(g: Graph, c: PackingColoring) -> VerifyResult:
     if len(c.colors) != g.order:
         raise ColoringCoverageError(
             f"coloring covers {len(c.colors)} vertices, graph has {g.order}")
-    dm = distances(g)
-    by_color: dict[int, list[int]] = {}
+    balls = distances(g)
+    by_color: dict[int, int] = {}
     for v, col in enumerate(c.colors):
-        by_color.setdefault(col, []).append(v)
+        by_color[col] = by_color.get(col, 0) | 1 << v
     for col in sorted(by_color):
         members = by_color[col]
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if dm(u, v) <= col:
-                    return VerifyResult(False, (u, v, col))
+        near = balls.within(col)
+        while members:
+            u = (members & -members).bit_length() - 1
+            members &= members - 1
+            hit = near[u] & members
+            if hit:
+                return VerifyResult(False, (u, (hit & -hit).bit_length() - 1,
+                                            col))
     return VerifyResult(True)
 
 
 # ---------------------------------------------------------------------------
 # class capacities
 
-_capacity_cache: dict[tuple[Graph, int], int] = {}
-
-
 def packing_capacity(g: Graph, c: int,
                      max_order: int = DEFAULT_SOLVER_BOUND) -> int:
-    """Exact c-packing number alpha_c, cached per (graph, c)."""
-    key = (g, c)
-    if key not in _capacity_cache:
-        _capacity_cache[key] = max_packing(g, c, max_order)
-    return _capacity_cache[key]
+    """Exact c-packing number alpha_c, kept with the graph's cached
+    distance balls, so it is evicted with them."""
+    memo = distances(g).capacity
+    if c not in memo:
+        memo[c] = max_packing(g, c, max_order)
+    return memo[c]
 
 
 def chi_rho_lower_bound(g: Graph,
@@ -150,23 +152,16 @@ def chi_rho_decision(g: Graph, k: int, *,
     n = g.order
     if n > max_order:
         raise GraphTooLargeError(f"order {n} exceeds solver bound {max_order}")
-    dm = distances(g)
-    if not dm.is_connected:
+    balls = distances(g)
+    if not balls.connected:
         raise DisconnectedGraphError("chi_rho_decision requires a connected graph")
     if k < 1:
         return None
 
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    # near[c][v]: vertices within distance c of v (excluding v)
-    near = [None] * (k + 1)
-    for c in range(1, k + 1):
-        near[c] = [0] * n
-        for u in range(n):
-            m = 0
-            for v in range(n):
-                if v != u and dm(u, v) <= c:
-                    m |= 1 << v
-            near[c][u] = m
+    # near[c][v]: vertices within distance c of v; v itself is never in
+    # uncolored when near[c][v] is read
+    near = [balls.within(c) for c in range(k + 1)]
 
     caps = [0] * (k + 1)
     for c in range(1, k + 1):
@@ -277,16 +272,16 @@ def chi_rho_exact(g: Graph, *,
 
 def greedy_upper_bound(g: Graph) -> int:
     """k of a valid coloring found by one degree-descending greedy pass."""
-    dm = distances(g)
+    balls = distances(g)
     n = g.order
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    colors = [0] * n
+    members = [0] * (n + 1)  # members[c]: the vertices colored c so far
     for v in order:
         c = 1
-        while any(colors[u] == c and dm(u, v) <= c for u in range(n) if u != v):
+        while members[c] & balls.within(c)[v]:
             c += 1
-        colors[v] = c
-    return max(colors)
+        members[c] |= 1 << v
+    return max(c for c in range(n + 1) if members[c])
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +292,23 @@ def chi_rho_naive(g: Graph, max_k: Optional[int] = None) -> tuple[int, PackingCo
     ascending, pruning only on a direct conflict with an assigned vertex.
     Kept deliberately free of the main solver's ordering and bounds."""
     n = g.order
-    dm = distances(g)
-    if not dm.is_connected:
+    balls = distances(g)
+    if not balls.connected:
         raise DisconnectedGraphError("chi_rho_naive requires a connected graph")
     limit = n if max_k is None else max_k
     colors = [0] * n
+    members = [0] * (limit + 1)  # members[c]: assigned vertices colored c
 
     def extend(v: int, k: int) -> bool:
         if v == n:
             return True
         for c in range(1, k + 1):
-            if all(colors[u] != c or dm(u, v) > c for u in range(v)):
+            if not members[c] & balls.within(c)[v]:
                 colors[v] = c
+                members[c] |= 1 << v
                 if extend(v + 1, k):
                     return True
+                members[c] ^= 1 << v
                 colors[v] = 0
         return False
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .coloring import PackingColoring, verify_packing_coloring
 from .errors import ConstructionError, ConstructionOutOfRange
-from .graphs import Graph, complete, is_tree, path, star
+from .graphs import Graph, complete, is_tree, path, star, tree_preorder
 from .product import ProductGraph, VertexMap, sierpinski_product
 
 SPINE_CYCLE = (1, 4, 1, 5, 1, 6, 1, 7)
@@ -356,15 +356,16 @@ def star_path_coloring(m: int, n: int, f: Optional[VertexMap] = None,
             raise ValueError("min mode uses the constant endpoint map")
         prod = sierpinski_product(star(m), path(n), f)
         g = prod.graph
-        from .graphs import distances
-        dm = distances(g)
         hub = prod.vertex_of(0, 0)
+        order, parent = tree_preorder(g.adj, hub)  # the product is a tree
+        dist = [0] * g.order
+        for v in order[1:]:
+            dist[v] = dist[parent[v]] + 1
         colors = []
         for v in range(g.order):
-            dist = int(dm(hub, v))
-            if dist % 2 == 1:
+            if dist[v] % 2 == 1:
                 colors.append(1)
-            elif dist % 4 == 2:
+            elif dist[v] % 4 == 2:
                 colors.append(3)
             else:
                 colors.append(2)

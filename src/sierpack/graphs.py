@@ -9,13 +9,12 @@ workers on independent inputs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import GraphTooLargeError, NotATreeError
-
-INF = math.inf
 
 # Exact subset searches (independence number, i-packing numbers) reject
 # graphs above this order unless the caller raises the bound explicitly.
@@ -156,50 +155,53 @@ def corona(g: Graph, p: int) -> Graph:
 # ---------------------------------------------------------------------------
 # distances
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; disconnected pairs hold math.inf."""
+class Balls:
+    """Distance balls of one graph: ``within(r)[v]`` is the bitmask of the
+    vertices within distance r of v (none in another component).  ``ball``
+    holds the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w]
+    over the neighbours w of v, is grown only when asked for, so memory
+    follows the largest radius used, not the diameter.  ``capacity``
+    memoizes alpha_c of the same graph (coloring.packing_capacity)."""
 
-    order: int
-    dist: tuple[tuple[float, ...], ...]
+    def __init__(self, g: Graph):
+        self.adj = g.adj
+        self.ball = [tuple(1 << v for v in range(g.order))]
+        self.last = False  # set once a grown row equals the one before it
+        self.connected = is_connected(g)
+        self.capacity: dict[int, int] = {}
+        self._lock = threading.Lock()
 
-    def __call__(self, u: int, v: int) -> float:
-        return self.dist[u][v]
-
-    @property
-    def is_connected(self) -> bool:
-        return all(d != INF for d in self.dist[0])
+    def within(self, r: int) -> tuple[int, ...]:
+        """Row r; past the largest eccentricity every row is the last."""
+        rows = self.ball
+        while r >= len(rows) and not self.last:
+            with self._lock:  # each new row is grown from the current last
+                row = rows[-1]
+                nxt = []
+                for v, nbrs in enumerate(self.adj):
+                    m = row[v]
+                    for w in nbrs:
+                        m |= row[w]
+                    nxt.append(m)
+                if tuple(nxt) == row:
+                    self.last = True
+                else:
+                    rows.append(tuple(nxt))
+        return rows[min(r, len(rows) - 1)]
 
     @property
     def diameter(self) -> float:
-        """Largest finite entry; math.inf when the graph is disconnected."""
-        if not self.is_connected:
-            return INF
-        return max(max(row) for row in self.dist)
-
-
-def _bfs_row(adj: tuple[tuple[int, ...], ...], source: int, n: int) -> tuple[float, ...]:
-    dist: list[float] = [INF] * n
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if dist[w] == INF:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(dist)
+        """Largest distance; math.inf when the graph is disconnected."""
+        if not self.connected:
+            return math.inf
+        self.within(len(self.adj))
+        return len(self.ball) - 1
 
 
 @lru_cache(maxsize=512)
-def distances(g: Graph) -> DistanceMatrix:
-    """BFS-exact all-pairs distances (cached per graph)."""
-    return DistanceMatrix(g.order,
-                          tuple(_bfs_row(g.adj, s, g.order) for s in range(g.order)))
+def distances(g: Graph) -> Balls:
+    """The distance balls of g, cached per graph (the 512 most recent)."""
+    return Balls(g)
 
 
 def diameter(g: Graph) -> float:
@@ -241,12 +243,7 @@ def max_packing(g: Graph, i: int,
     if n > max_order:
         raise GraphTooLargeError(
             f"order {n} exceeds exact-search bound {max_order}")
-    dm = distances(g)
-    conflict = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and dm(u, v) <= i:
-                conflict[u] |= 1 << v
+    conflict = distances(g).within(i)  # v itself is out of cand already
 
     best = 0
 
@@ -287,9 +284,10 @@ def is_tree(g: Graph) -> bool:
 
 
 def tree_centers(g: Graph) -> list[int]:
-    """The one or two center vertices of a tree (peel leaves until <= 2)."""
+    """The one or two center vertices of a tree (peel leaves until <= 2);
+    the tree check for every function here that takes free trees."""
     if not is_tree(g):
-        raise NotATreeError("centers are defined here for trees only")
+        raise NotATreeError("input is not a tree")
     n = g.order
     if n <= 2:
         return list(range(n))
@@ -369,16 +367,14 @@ def tree_canonical_form(g: Graph) -> str:
 
 def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
     """True iff two trees are isomorphic (AHU labels at their centers)."""
-    for t in (t1, t2):
-        if not is_tree(t):
-            raise NotATreeError("tree_isomorphic requires tree inputs")
+    centers = [tree_centers(t1), tree_centers(t2)]
     if t1.order != t2.order or sorted(
             t1.degree(v) for v in range(t1.order)) != sorted(
             t2.degree(v) for v in range(t2.order)):
         return False
     table: dict = {}
-    forms = [min(_ahu_labels(t, c, table)[0][c] for c in tree_centers(t))
-             for t in (t1, t2)]
+    forms = [min(_ahu_labels(t, c, table)[0][c] for c in cs)
+             for t, cs in zip((t1, t2), centers)]
     return forms[0] == forms[1]
 
 
@@ -412,14 +408,9 @@ def rooted_tree_iso_map(t1: Graph, r1: int, t2: Graph, r2: int) -> Optional[dict
 
 def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
     """An isomorphism between free trees as a vertex map, or None."""
-    for t in (t1, t2):
-        if not is_tree(t):
-            raise NotATreeError("tree_iso_map requires tree inputs")
-    if t1.order != t2.order:
-        return None
     c1 = tree_centers(t1)
     c2 = tree_centers(t2)
-    if len(c1) != len(c2):
+    if t1.order != t2.order or len(c1) != len(c2):
         return None
     table: dict = {}
     lab1 = _ahu_labels(t1, c1[0], table)

@@ -128,11 +128,6 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
     return ProductGraph(graph, g, h, f, tuple(connecting))
 
 
-def connecting_edges(p: ProductGraph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """The Type-2 edges, each with its originating base edge."""
-    return p.connecting
-
-
 # ---------------------------------------------------------------------------
 # automorphisms and map enumeration
 

@@ -101,6 +101,30 @@ def test_family_rejects_unknown_params(capsys):
     assert main(["family", "corona", "--params", "n=3,p=1"]) == 1
 
 
+def test_family_missing_param_is_malformed_input(capsys):
+    assert main(["family", "corona", "--params", "n=3"]) == 2
+    assert "lacks p" in capsys.readouterr().err
+
+
+def test_family_non_integer_param_is_malformed_input(capsys):
+    assert main(["family", "corona", "--params", "n=x,p=2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_family_param_without_value_is_malformed_input(capsys):
+    assert main(["family", "complete-complete", "--params", "m"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_integer_budget_environment_is_malformed_input(
+        capsys, tmp_path, monkeypatch):
+    gfile = tmp_path / "p3.txt"
+    gfile.write_text(emit_graph_text(path(3)))
+    monkeypatch.setenv("SIERPACK_NODE_BUDGET", "abc")
+    assert main(["chirho", str(gfile)]) == 2
+    assert "SIERPACK_NODE_BUDGET" in capsys.readouterr().err
+
+
 def test_recognize_cli(capsys, tmp_path):
     from sierpack.product import VertexMap, sierpinski_product
     from sierpack.graphs import star

@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 from sierpack.errors import GraphTooLargeError, NotATreeError
-from sierpack.graphs import (Graph, complete, corona, diameter, distances,
-                             free_trees, independence_number, is_connected,
-                             is_tree, path, random_tree, reachable, star,
+from sierpack.graphs import (Balls, Graph, complete, corona, diameter,
+                             distances, free_trees, independence_number,
+                             is_connected, is_tree, path, random_tree,
+                             reachable, star,
                              tree_canonical_form, tree_centers, tree_iso_map,
                              tree_isomorphic, two_packing_number)
 from sierpack.product import VertexMap, sierpinski_product
@@ -24,23 +25,47 @@ def test_graph_construction_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
 
 
+def _dist(balls, u, v):
+    # the least r whose ball around u holds v; INF when none does
+    return next((r for r in range(len(balls.adj))
+                 if balls.within(r)[u] >> v & 1), INF)
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def test_distances_examples():
-    assert distances(path(4))(0, 3) == 3
-    dm = distances(complete(5))
-    assert all(dm(u, v) == 1 for u in range(5) for v in range(5) if u != v)
-    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert distances(two_edges)(0, 2) == INF
+    assert _dist(distances(path(4)), 0, 3) == 3
+    balls = distances(complete(5))
+    assert all(_dist(balls, u, v) == 1
+               for u in range(5) for v in range(5) if u != v)
+    two_edges = distances(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    assert _dist(two_edges, 0, 2) == INF
+    assert not any(two_edges.within(r)[0] >> 2 & 1 for r in range(5))
+    assert two_edges.within(100)[0] == 0b11
+
+
+def test_balls_grow_only_to_the_radius_asked_for():
+    balls = Balls(path(50))  # not the cached object, whose rows may have grown
+    assert balls.within(2)[10] == 0b11111 << 8
+    assert len(balls.ball) == 3
+    assert balls.diameter == 49 and len(balls.ball) == 50
+    assert balls.within(1000) == balls.within(49)
 
 
 def test_triangle_inequality_random():
+    # as ball composition: the ball of radius t around any vertex of the ball
+    # of radius r around u lies inside the ball of radius r + t around u
     rng = random.Random(1)
     for _ in range(25):
-        g = random_tree(rng.randint(2, 12), rng)
-        dm = distances(g)
-        for u in range(g.order):
-            for v in range(g.order):
-                for w in range(g.order):
-                    assert dm(u, v) <= dm(u, w) + dm(w, v)
+        balls = distances(random_tree(rng.randint(2, 12), rng))
+        radii = range(len(balls.adj) + 1)
+        for u in range(len(balls.adj)):
+            for r in radii:
+                for w in _members(balls.within(r)[u]):
+                    for t in radii:
+                        assert balls.within(t)[w] & ~balls.within(r + t)[u] == 0
 
 
 def test_diameter_examples():
@@ -54,9 +79,9 @@ def test_diameter_examples():
 def _double_sweep(g):
     # independent diameter lower bound: farthest-from-farthest BFS; exact on
     # the instances it is cross-checked against here
-    dm = distances(g)
-    far = max(range(g.order), key=lambda v: dm(0, v))
-    return max(dm(far, v) for v in range(g.order))
+    balls = distances(g)
+    far = max(range(g.order), key=lambda v: _dist(balls, 0, v))
+    return max(_dist(balls, far, v) for v in range(g.order))
 
 
 def test_diameter_against_double_sweep_on_k2_products():
@@ -182,14 +207,45 @@ def _random_graph(n, p, rng):
                                 if rng.random() < p])
 
 
-def test_is_connected_agrees_with_distance_matrix():
+def test_is_connected_agrees_with_balls():
     rng = random.Random(11)
     seen = set()
     for _ in range(200):
         g = _random_graph(rng.randint(1, 12), rng.choice((0.1, 0.2, 0.4)), rng)
-        expected = distances(g).is_connected
+        expected = distances(g).connected
         assert is_connected(g) == expected
         seen.add(expected)
+    assert seen == {True, False}
+
+
+def _reference_bfs(g, source):
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for w in g.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def test_balls_match_reference_bfs():
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(300):
+        g = _random_graph(rng.randint(1, 12), rng.choice((0.1, 0.2, 0.4)), rng)
+        balls = distances(g)
+        dist = [_reference_bfs(g, v) for v in range(g.order)]
+        ecc = max(max(d.values()) for d in dist)
+        for r in range(ecc + 3):
+            for v in range(g.order):
+                assert _members(balls.within(r)[v]) == \
+                    sorted(u for u, d in dist[v].items() if d <= r)
+        assert len(balls.ball) == ecc + 1
+        connected = all(len(d) == g.order for d in dist)
+        assert balls.connected == connected
+        assert balls.diameter == (ecc if connected else INF)
+        seen.add(connected)
     assert seen == {True, False}
 
 

@@ -9,8 +9,8 @@ from sierpack.errors import (EnumerationBudgetExceeded, FactorMismatchError,
 from sierpack.graphs import (Graph, complete, diameter, path, random_tree,
                              star, tree_isomorphic)
 from sierpack.product import (EdgeKind, VertexMap, automorphisms,
-                              connecting_edges, enumerate_maps,
-                              sierpinski_chi, sierpinski_product)
+                              enumerate_maps, sierpinski_chi,
+                              sierpinski_product)
 
 FIG1_MAP = VertexMap.parse("5 4: 1 3 3 0 2")
 
@@ -30,7 +30,7 @@ def test_figure_instance_counts():
     prod = sierpinski_product(complete(5), complete(4), FIG1_MAP)
     assert prod.graph.order == 20
     assert prod.graph.size == 40
-    assert len(connecting_edges(prod)) == 10
+    assert len(prod.connecting) == 10
     assert diameter(prod.graph) == 3
 
 
@@ -67,10 +67,10 @@ def test_connecting_edge_counts():
     for n in (2, 3, 5):
         prod = sierpinski_product(complete(2), complete(n),
                                   VertexMap.constant(2, n, 0))
-        assert len(connecting_edges(prod)) == 1
+        assert len(prod.connecting) == 1
     prod = sierpinski_product(path(4), path(3), VertexMap.constant(4, 3, 1))
-    assert len(connecting_edges(prod)) == 3
-    for edge, base_edge in connecting_edges(prod):
+    assert len(prod.connecting) == 3
+    for edge, base_edge in prod.connecting:
         assert prod.edge_kind(*edge) is EdgeKind.TYPE2
         assert base_edge in set(path(4).edges())
 
