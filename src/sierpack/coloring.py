@@ -4,15 +4,20 @@ A packing coloring assigns each vertex a color in 1..k so that two distinct
 vertices sharing color l are at distance greater than l.  The exact solver
 is a deterministic branch-and-bound over distance-ball bitmasks:
 
-* vertices are colored in descending-degree order (ties by index), colors
-  tried in ascending order;
+* the next vertex is chosen by DSatur (Brelaz 1979): the uncolored vertex
+  with the fewest colors left, ties broken by descending degree and then
+  by index; colors are tried in ascending order;
 * assigning color c to v bans c at every uncolored vertex within distance c;
   a partial assignment is abandoned as soon as some uncolored vertex has no
   feasible color;
 * each color class of color c has at most alpha_c vertices (the exact
-  c-packing number, computed once per graph by the subset branch-and-bound
-  in graphs.py), and a partial assignment is abandoned when the remaining
-  class capacities cannot cover the uncolored vertices.
+  c-packing number, computed once per graph by graphs.max_packing: one
+  deepest-first greedy pass on trees, a subset branch-and-bound otherwise),
+  and a partial assignment is abandoned when the remaining class capacities
+  cannot cover the uncolored vertices;
+* a color c with alpha_c = 1 bans every vertex once used, so unused colors
+  of that kind are interchangeable and only the smallest is tried.  This
+  symmetry rule does not depend on the order vertices are colored in.
 
 The capacity sum also seeds the ascending search for the exact value: the
 smallest k with alpha_1 + ... + alpha_k >= n is a valid lower bound, and on
@@ -184,13 +189,23 @@ def chi_rho_decision(g: Graph, k: int, *,
     uncolored = (1 << n) - 1
     nodes = 0
 
-    def dfs(pos: int) -> bool:
+    def dfs() -> bool:
         nonlocal uncolored, unused_singletons, nodes
-        if pos == n:
+        if not uncolored:
             return True
-        v = order[pos]
+        # DSatur: the uncolored vertex with the fewest colors left, ties
+        # broken by the static order
+        v = -1
+        fewest = k + 1
+        for u in order:
+            if not colors[u]:
+                left = (~banned[u] & full).bit_count()
+                if left < fewest:
+                    v, fewest = u, left
+                    if left == 1:
+                        break
         uncolored ^= 1 << v
-        need = n - pos - 1
+        need = uncolored.bit_count()
         avail = ~banned[v] & full
         while avail:
             bit = avail & -avail
@@ -234,7 +249,7 @@ def chi_rho_decision(g: Graph, k: int, *,
                             break
                 if room < need:
                     dead = True
-            if not dead and dfs(pos + 1):
+            if not dead and dfs():
                 return True
             clear = 0
             for u in touched:
@@ -248,7 +263,7 @@ def chi_rho_decision(g: Graph, k: int, *,
         uncolored ^= 1 << v
         return False
 
-    if dfs(0):
+    if dfs():
         return PackingColoring.from_colors(colors)
     return None
 

@@ -2,14 +2,15 @@
 and tree machinery the rest of the package is built on.
 
 Graphs are immutable after construction and all operations here are pure
-functions of their inputs, so everything is safe to use from concurrent
-workers on independent inputs.
+functions of their inputs.  The per-graph distance balls behind
+``distances`` are cached and grown in place without a lock: the package
+starts no threads, and parallel work (``verify-paper --jobs``) runs in
+separate processes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -169,33 +170,42 @@ class Balls:
         self.last = False  # set once a grown row equals the one before it
         self.connected = is_connected(g)
         self.capacity: dict[int, int] = {}
-        self._lock = threading.Lock()
+
+    def _grow(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        """The row one hop wider than ``row``."""
+        nxt = []
+        for v, nbrs in enumerate(self.adj):
+            m = row[v]
+            for w in nbrs:
+                m |= row[w]
+            nxt.append(m)
+        return tuple(nxt)
 
     def within(self, r: int) -> tuple[int, ...]:
         """Row r; past the largest eccentricity every row is the last."""
         rows = self.ball
         while r >= len(rows) and not self.last:
-            with self._lock:  # each new row is grown from the current last
-                row = rows[-1]
-                nxt = []
-                for v, nbrs in enumerate(self.adj):
-                    m = row[v]
-                    for w in nbrs:
-                        m |= row[w]
-                    nxt.append(m)
-                if tuple(nxt) == row:
-                    self.last = True
-                else:
-                    rows.append(tuple(nxt))
+            nxt = self._grow(rows[-1])
+            if nxt == rows[-1]:
+                self.last = True
+            else:
+                rows.append(nxt)
         return rows[min(r, len(rows) - 1)]
 
     @property
     def diameter(self) -> float:
-        """Largest distance; math.inf when the graph is disconnected."""
+        """Largest distance; math.inf when the graph is disconnected.  Rows
+        past the ones already kept are counted with two rolling rows and
+        not kept."""
         if not self.connected:
             return math.inf
-        self.within(len(self.adj))
-        return len(self.ball) - 1
+        r = len(self.ball) - 1
+        row = self.ball[-1]
+        if not self.last:
+            while (nxt := self._grow(row)) != row:
+                row = nxt
+                r += 1
+        return r
 
 
 @lru_cache(maxsize=512)
@@ -238,13 +248,41 @@ def max_packing(g: Graph, i: int,
     """Exact size of a largest i-packing: a set of vertices with pairwise
     distance greater than i.  i=1 is the independence number, i=2 the
     2-packing number.
+
+    On a tree one greedy pass is exact (Meir and Moon 1975): root it
+    anywhere, take the vertices by non-increasing depth and keep each one
+    whose i-ball holds no vertex kept so far.  Proof sketch, an exchange on
+    the vertex v being taken when it is kept.  Let P be a largest packing
+    that agrees with every choice made before v.  Each vertex y of P within
+    distance i of v is undecided, so it is no deeper than v; with l_y where
+    the root paths of v and y meet, d(v, y) = t_y + s_y for
+    t_y = d(v, l_y) >= s_y = d(l_y, y).  For two such x, y with t_x <= t_y,
+    d(x, y) <= s_x + (t_y - t_x) + s_y <= t_y + s_y = d(v, y) <= i.  So P
+    holds at most one vertex of the i-ball of v, and at least one, or v
+    could be added to P.  Swapping that vertex for v gives a largest
+    packing that also agrees with keeping v.
+
+    Every other graph goes to the subset branch-and-bound.
     """
     n = g.order
     if n > max_order:
         raise GraphTooLargeError(
             f"order {n} exceeds exact-search bound {max_order}")
-    conflict = distances(g).within(i)  # v itself is out of cand already
+    balls = distances(g)
+    conflict = balls.within(i)
+    if g.size != n - 1 or not balls.connected:
+        return _max_packing_search(conflict, n)
+    kept = 0
+    for v in reversed(reachable(g)):  # BFS order reversed: deepest first
+        if not conflict[v] & kept:
+            kept |= 1 << v
+    return kept.bit_count()
 
+
+def _max_packing_search(conflict: tuple[int, ...], n: int) -> int:
+    """Largest vertex set with no two in conflict (``conflict[v]`` is the
+    bitmask of v's conflicts, v itself included): subset branch-and-bound
+    with the remaining-candidates bound."""
     best = 0
 
     def grow(cand: int, size: int):

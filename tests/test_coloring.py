@@ -82,6 +82,17 @@ def test_exact_corona_p12():
     assert verify_packing_coloring(corona(path(12), 2), witness).ok
 
 
+def test_corona_p12_decisions_fit_a_small_budget():
+    # with a static degree order the UNSAT decision at k = 5 needs about
+    # 1,500,000 nodes and the SAT one at k = 6 over 2,000,000; choosing the
+    # vertex with the fewest colors left settles both in a few thousand
+    g = corona(path(12), 2)
+    assert chi_rho_decision(g, 5, node_budget=20_000) is None
+    witness = chi_rho_decision(g, 6, node_budget=20_000)
+    assert witness is not None and witness.k <= 6
+    assert verify_packing_coloring(g, witness).ok
+
+
 def test_soundness_and_minimality():
     rng = random.Random(11)
     for _ in range(25):

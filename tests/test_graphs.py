@@ -50,8 +50,16 @@ def test_balls_grow_only_to_the_radius_asked_for():
     balls = Balls(path(50))  # not the cached object, whose rows may have grown
     assert balls.within(2)[10] == 0b11111 << 8
     assert len(balls.ball) == 3
-    assert balls.diameter == 49 and len(balls.ball) == 50
+    assert balls.diameter == 49 and len(balls.ball) == 3
     assert balls.within(1000) == balls.within(49)
+    assert len(balls.ball) == 50
+
+
+def test_diameter_keeps_no_rows():
+    g = path(400)
+    rows = len(distances(g).ball)
+    assert diameter(g) == 399
+    assert len(distances(g).ball) == rows
 
 
 def test_triangle_inequality_random():
