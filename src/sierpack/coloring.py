@@ -287,16 +287,29 @@ def chi_rho_exact(g: Graph, *,
 
 def greedy_upper_bound(g: Graph) -> int:
     """k of a valid coloring found by one degree-descending greedy pass."""
-    balls = distances(g)
-    n = g.order
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    members = [0] * (n + 1)  # members[c]: the vertices colored c so far
-    for v in order:
+    return _greedy(g, g.order)
+
+
+def _greedy(g: Graph, cap: int) -> Optional[int]:
+    """Colors used by the degree-descending greedy pass, each vertex taking
+    its least feasible color, or None at the first vertex that needs a color
+    above cap.  The colors in use are always 1..k, and ball rows are grown
+    only up to radius k."""
+    within = distances(g).within
+    members = [0]  # members[c]: the vertices colored c so far
+    near = [()]    # near[c]: within(c), fetched when color c comes into use
+    # sorted is stable, so vertices of equal degree stay in index order
+    for v in sorted(range(g.order), key=lambda v: -len(g.adj[v])):
         c = 1
-        while members[c] & balls.within(c)[v]:
+        while c < len(members) and members[c] & near[c][v]:
             c += 1
+        if c > cap:
+            return None
+        if c == len(members):
+            members.append(0)
+            near.append(within(c))
         members[c] |= 1 << v
-    return max(c for c in range(n + 1) if members[c])
+    return len(members) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,22 @@ connecting functions.
 G (x)_f H has vertex set V(G) x V(H).  Each base vertex g carries a copy of
 H (Type-1 edges), and each base edge gg' contributes the single connecting
 edge (g, f(g'))-(g', f(g)) (Type-2).  Vertex (g, h) gets index g*n(H) + h.
+
+sierpinski_chi solves the first map exactly; every later map is first
+screened against the best value so far and solved only if it can beat it.
+The screen runs a prefix of the decision calls chi_rho_exact would make,
+ascending from the lower bound, so it never decides a k above the map's
+packing chromatic number (SAT far above it is the slow case):
+
+* min: decide k = lower bound .. best - 1; the map improves iff one is SAT;
+* max: skip the map if the degree-descending greedy colors it with at most
+  best colors; otherwise decide k = lower bound .. best, and the map
+  improves iff all are UNSAT.
+
+Each screen call is a call chi_rho_exact makes on that map with the same
+per-call node budget, so a run that completes without screening completes
+with screening, with the same value, witness map, witness coloring and
+explored count; under a budget it gets at least as far.
 """
 
 from __future__ import annotations
@@ -13,7 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .coloring import PackingColoring, chi_rho_exact
+from .coloring import (PackingColoring, _greedy, chi_rho_decision,
+                       chi_rho_exact, chi_rho_lower_bound)
 from .errors import (ConstructionError, EnumerationBudgetExceeded,
                      FactorMismatchError, InputFormatError,
                      SearchBudgetExceeded)
@@ -243,6 +260,22 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
     return None
 
 
+def _may_improve(x: Graph, mode: str, best: int,
+                 node_budget: Optional[int], max_order: int) -> bool:
+    """Whether chi_rho(x) beats best in mode: for min, some k below best is
+    SAT; for max, every k up to best is UNSAT.  Decisions ascend from the
+    lower bound and stop at the first SAT, so no k above chi_rho(x) is
+    decided."""
+    if mode == "max" and _greedy(x, best) is not None:
+        return False
+    top = best - 1 if mode == "min" else best
+    for k in range(chi_rho_lower_bound(x, max_order), top + 1):
+        if chi_rho_decision(x, k, node_budget=node_budget,
+                            max_order=max_order) is not None:
+            return mode == "min"
+    return mode == "max"
+
+
 def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                    reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND,
@@ -252,8 +285,12 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     """Exact min (or max) of chi_rho(G (x)_f H) over all f, with a witness
     map and an optimal coloring for it.
 
-    Budget exhaustion (enumeration bound or solver node budget) yields a
-    partial result with complete=False and the explored count.
+    The witness is the first map, in enumeration order, that attains the
+    optimum.  Once a best value exists, a map is solved only if it passes
+    the screen of _may_improve.  explored counts the settled maps, screened
+    out or solved.  Budget exhaustion (enumeration bound or solver node
+    budget) yields a partial result with complete=False and the explored
+    count.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -265,16 +302,14 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     complete_run = True
     try:
         for f in enumerate_maps(g, h, reduce_symmetry, enum_bound):
-            prod = sierpinski_product(g, h, f)
-            value, coloring = chi_rho_exact(prod.graph,
-                                            node_budget=node_budget,
-                                            max_order=max_order)
+            x = sierpinski_product(g, h, f).graph
+            if best is None or _may_improve(x, mode, best, node_budget,
+                                            max_order):
+                best, best_col = chi_rho_exact(x, node_budget=node_budget,
+                                               max_order=max_order)
+                best_map = f
             explored += 1
-            better = best is None or \
-                (value < best if mode == "min" else value > best)
-            if better:
-                best, best_map, best_col = value, f, coloring
-            if mode == "min" and floor is not None and best == floor:
+            if best == floor:
                 # no f can go below the floor, so the minimum is settled
                 break
     except (SearchBudgetExceeded, EnumerationBudgetExceeded):

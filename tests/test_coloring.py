@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sierpack.coloring import (PackingColoring, chi_rho_decision,
+from sierpack.coloring import (PackingColoring, _greedy, chi_rho_decision,
                                chi_rho_exact, chi_rho_lower_bound,
                                chi_rho_naive, greedy_upper_bound,
                                verify_packing_coloring)
@@ -116,6 +116,21 @@ def test_greedy_examples_and_dominance():
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
         assert greedy_upper_bound(g) >= chi_rho_exact(g)[0]
+
+
+def test_capped_greedy_stops_above_the_cap():
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        edges = set(random_tree(n, rng).edges())
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.3:
+                    edges.add((u, v))
+        g = Graph.from_edges(n, sorted(edges))
+        k = greedy_upper_bound(g)
+        for cap in range(1, n + 1):
+            assert _greedy(g, cap) == (k if k <= cap else None)
 
 
 def test_naive_agrees_on_small_graphs():

@@ -3,14 +3,21 @@ from itertools import product as iproduct
 
 import pytest
 
+from sierpack import product
 from sierpack.coloring import chi_rho_exact
 from sierpack.errors import (EnumerationBudgetExceeded, FactorMismatchError,
-                             InputFormatError)
-from sierpack.graphs import (Graph, complete, diameter, path, random_tree,
-                             star, tree_isomorphic)
+                             InputFormatError, SearchBudgetExceeded)
+from sierpack.graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, complete,
+                             diameter, path, random_tree, star,
+                             tree_isomorphic)
 from sierpack.product import (EdgeKind, VertexMap, automorphisms,
                               enumerate_maps, sierpinski_chi,
                               sierpinski_product)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    given = None
 
 FIG1_MAP = VertexMap.parse("5 4: 1 3 3 0 2")
 
@@ -185,3 +192,119 @@ def test_sierpinski_chi_partial_on_budget():
     result = sierpinski_chi(complete(3), complete(3), "max", node_budget=3)
     assert not result.complete
     assert result.explored == 0
+
+
+# ---------------------------------------------------------------------------
+# the screened optimizer against a plain loop over every map
+
+CYCLE4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+FACTORS = [complete(2), complete(3), path(3), path(4), star(3), CYCLE4, PAW]
+BUDGETS = (3, 10, 30, 100, 300, 1000)
+
+
+def _reference_chi(g, h, mode, reduce_symmetry=False, node_budget=None):
+    """chi_rho_exact on every map, keeping the first strict improvement;
+    for two complete factors of order >= 3 the min stops at the floor
+    mn - 2m + 2.  Returns (value, witness image, witness colors, explored,
+    complete)."""
+    m, n = g.order, h.order
+    both_complete = m >= 3 and n >= 3 and g.size == m * (m - 1) // 2 \
+        and h.size == n * (n - 1) // 2
+    floor = m * n - 2 * m + 2 if mode == "min" and both_complete else None
+    best = best_map = best_col = None
+    explored = 0
+    try:
+        for f in enumerate_maps(g, h, reduce_symmetry):
+            value, col = chi_rho_exact(sierpinski_product(g, h, f).graph,
+                                       node_budget=node_budget)
+            explored += 1
+            if best is None or (value < best if mode == "min"
+                                else value > best):
+                best, best_map, best_col = value, f.image, col.colors
+            if best == floor:
+                break
+    except SearchBudgetExceeded:
+        return best, best_map, best_col, explored, False
+    return best, best_map, best_col, explored, True
+
+
+def _summary(result):
+    return (result.value,
+            None if result.witness_map is None else result.witness_map.image,
+            None if result.witness_coloring is None
+            else result.witness_coloring.colors,
+            result.explored, result.complete)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("reduce_symmetry", [False, True])
+def test_sierpinski_chi_matches_reference_loop(mode, reduce_symmetry):
+    for g in FACTORS:
+        for h in FACTORS:
+            got = sierpinski_chi(g, h, mode, reduce_symmetry=reduce_symmetry)
+            want = _reference_chi(g, h, mode, reduce_symmetry)
+            assert _summary(got) == want, (g, h)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_budget_never_loses_ground(mode):
+    # every screen call is a call the plain loop makes with the same
+    # per-call budget, so the screened run gets at least as far
+    for g in FACTORS[1:]:
+        for h in FACTORS[1:]:
+            for budget in BUDGETS:
+                got = _summary(sierpinski_chi(g, h, mode,
+                                              reduce_symmetry=True,
+                                              node_budget=budget))
+                want = _reference_chi(g, h, mode, reduce_symmetry=True,
+                                      node_budget=budget)
+                if want[4]:
+                    assert got == want, (g, h, budget)
+                assert got[3] >= want[3], (g, h, budget)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_screen_never_decides_above_chi_rho(monkeypatch, mode):
+    # SAT far above chi_rho is heavy-tailed, so the screen must only ever
+    # decide a prefix of the ascending search, even when the best so far
+    # is far from the map's value
+    seen = []
+    decide = product.chi_rho_decision
+
+    def recording(x, k, **kwargs):
+        seen.append((x, k))
+        return decide(x, k, **kwargs)
+
+    monkeypatch.setattr(product, "chi_rho_decision", recording)
+    result = sierpinski_chi(star(4), star(4), mode, reduce_symmetry=True)
+    assert result.complete and seen
+    for f in list(enumerate_maps(star(4), star(4), reduce_symmetry=True))[:8]:
+        x = sierpinski_product(star(4), star(4), f).graph
+        far = chi_rho_exact(x)[0] + 3
+        assert product._may_improve(x, mode, far, None,
+                                    DEFAULT_EXACT_SEARCH_BOUND) \
+            == (mode == "min")
+    for x, k in seen:
+        assert k <= chi_rho_exact(x)[0]
+
+
+if given is not None:
+    @st.composite
+    def _connected_graphs(draw):
+        n = draw(st.integers(1, 4))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw(st.booleans()):
+                    edges.add((u, v))
+        return Graph.from_edges(n, sorted(edges))
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=_connected_graphs(), h=_connected_graphs(),
+           mode=st.sampled_from(["min", "max"]),
+           reduce_symmetry=st.booleans())
+    def test_sierpinski_chi_matches_reference_on_random_factors(
+            g, h, mode, reduce_symmetry):
+        got = sierpinski_chi(g, h, mode, reduce_symmetry=reduce_symmetry)
+        assert _summary(got) == _reference_chi(g, h, mode, reduce_symmetry)
