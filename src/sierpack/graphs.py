@@ -326,10 +326,15 @@ def tree_centers(g: Graph) -> list[int]:
     the tree check for every function here that takes free trees."""
     if not is_tree(g):
         raise NotATreeError("input is not a tree")
-    n = g.order
+    return _centers(g.adj)
+
+
+def _centers(adj) -> list[int]:
+    """tree_centers on an adjacency list already known to be a tree."""
+    n = len(adj)
     if n <= 2:
         return list(range(n))
-    deg = [g.degree(v) for v in range(n)]
+    deg = [len(nbrs) for nbrs in adj]
     removed = [False] * n
     leaves = [v for v in range(n) if deg[v] == 1]
     remaining = n
@@ -338,7 +343,7 @@ def tree_centers(g: Graph) -> list[int]:
         nxt = []
         for v in leaves:
             removed[v] = True
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if not removed[u]:
                     deg[u] -= 1
                     if deg[u] == 1:
@@ -383,16 +388,17 @@ def _rooted_canon(g: Graph, root: int) -> str:
     return code[root]
 
 
-def _ahu_labels(g: Graph, root: int, table: dict) -> tuple[list[int], list[int]]:
-    """Integer AHU labels of the tree rooted at root (Aho, Hopcroft and
-    Ullman 1974), with the parent array of that rooting.  Two subtrees,
-    of this tree or of any other labelled with the same ``table``, get
-    equal labels exactly when they are isomorphic as rooted trees, that is
-    exactly when their ``_rooted_canon`` strings are equal."""
-    order, parent = tree_preorder(g.adj, root)
-    label = [0] * g.order
+def _ahu_labels(adj, root: int, table: dict) -> tuple[list[int], list[int]]:
+    """Integer AHU labels of the tree with adjacency lists ``adj`` rooted
+    at root (Aho, Hopcroft and Ullman 1974), with the parent array of that
+    rooting.  Two subtrees, of this tree or of any other labelled with the
+    same ``table``, get equal labels exactly when they are isomorphic as
+    rooted trees, that is exactly when their ``_rooted_canon`` strings are
+    equal."""
+    order, parent = tree_preorder(adj, root)
+    label = [0] * len(adj)
     for v in reversed(order):
-        key = tuple(sorted(label[w] for w in g.adj[v] if parent[w] == v))
+        key = tuple(sorted(label[w] for w in adj[v] if parent[w] == v))
         label[v] = table.setdefault(key, len(table))
     return label, parent
 
@@ -411,7 +417,7 @@ def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
             t2.degree(v) for v in range(t2.order)):
         return False
     table: dict = {}
-    forms = [min(_ahu_labels(t, c, table)[0][c] for c in cs)
+    forms = [min(_ahu_labels(t.adj, c, table)[0][c] for c in cs)
              for t, cs in zip((t1, t2), centers)]
     return forms[0] == forms[1]
 
@@ -440,8 +446,8 @@ def rooted_tree_iso_map(t1: Graph, r1: int, t2: Graph, r2: int) -> Optional[dict
     """An isomorphism of rooted trees (t1, r1) -> (t2, r2) as a vertex map,
     or None if none exists.  Each tree is labelled once."""
     table: dict = {}
-    return _pair_rooted(t1, r1, _ahu_labels(t1, r1, table),
-                        t2, r2, _ahu_labels(t2, r2, table))
+    return _pair_rooted(t1, r1, _ahu_labels(t1.adj, r1, table),
+                        t2, r2, _ahu_labels(t2.adj, r2, table))
 
 
 def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
@@ -451,9 +457,10 @@ def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
     if t1.order != t2.order or len(c1) != len(c2):
         return None
     table: dict = {}
-    lab1 = _ahu_labels(t1, c1[0], table)
+    lab1 = _ahu_labels(t1.adj, c1[0], table)
     for r2 in c2:
-        m = _pair_rooted(t1, c1[0], lab1, t2, r2, _ahu_labels(t2, r2, table))
+        m = _pair_rooted(t1, c1[0], lab1,
+                         t2, r2, _ahu_labels(t2.adj, r2, table))
         if m is not None:
             return m
     return None

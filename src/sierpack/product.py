@@ -6,20 +6,23 @@ H (Type-1 edges), and each base edge gg' contributes the single connecting
 edge (g, f(g'))-(g', f(g)) (Type-2).  Vertex (g, h) gets index g*n(H) + h.
 
 sierpinski_chi solves the first map exactly; every later map is first
-screened against the best value so far and solved only if it can beat it.
-The screen runs a prefix of the decision calls chi_rho_exact would make,
-ascending from the lower bound, so it never decides a k above the map's
-packing chromatic number (SAT far above it is the slow case):
+screened against the best value so far.  The screen runs the decision calls
+chi_rho_exact would make, ascending from the lower bound, so it never
+decides a k above the map's packing chromatic number (SAT far above it is
+the slow case):
 
-* min: decide k = lower bound .. best - 1; the map improves iff one is SAT;
+* min: decide k = lower bound .. best - 1; the map improves iff one is SAT,
+  and that SAT decision's k and coloring are its value and witness;
 * max: skip the map if the degree-descending greedy colors it with at most
   best colors; otherwise decide k = lower bound .. best, and the map
-  improves iff all are UNSAT.
+  improves iff all are UNSAT, in which case the decisions go on above best
+  to the first SAT, which gives the value and witness.
 
-Each screen call is a call chi_rho_exact makes on that map with the same
-per-call node budget, so a run that completes without screening completes
-with screening, with the same value, witness map, witness coloring and
-explored count; under a budget it gets at least as far.
+A map that improves is therefore never solved a second time.  Each screen
+call is a call chi_rho_exact makes on that map with the same per-call node
+budget, so a run that completes without screening completes with
+screening, with the same value, witness map, witness coloring and explored
+count; under a budget it gets at least as far.
 """
 
 from __future__ import annotations
@@ -260,20 +263,30 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
     return None
 
 
+def _improvement(x: Graph, mode: str, best: int,
+                 node_budget: Optional[int], max_order: int
+                 ) -> Optional[tuple[int, PackingColoring]]:
+    """chi_rho(x) with a witness when it beats best in mode, else None: for
+    min, some k below best is SAT; for max, every k up to best is UNSAT,
+    and the decisions go on above best to the first SAT.  Decisions ascend
+    from the lower bound and stop at the first SAT, so they are the calls
+    chi_rho_exact(x) makes, and no k above chi_rho(x) is decided."""
+    if mode == "max" and _greedy(x, best) is not None:
+        return None
+    k = chi_rho_lower_bound(x, max_order)
+    while mode == "max" or k < best:
+        witness = chi_rho_decision(x, k, node_budget=node_budget,
+                                   max_order=max_order)
+        if witness is not None:
+            return (k, witness) if mode == "min" or k > best else None
+        k += 1
+    return None
+
+
 def _may_improve(x: Graph, mode: str, best: int,
                  node_budget: Optional[int], max_order: int) -> bool:
-    """Whether chi_rho(x) beats best in mode: for min, some k below best is
-    SAT; for max, every k up to best is UNSAT.  Decisions ascend from the
-    lower bound and stop at the first SAT, so no k above chi_rho(x) is
-    decided."""
-    if mode == "max" and _greedy(x, best) is not None:
-        return False
-    top = best - 1 if mode == "min" else best
-    for k in range(chi_rho_lower_bound(x, max_order), top + 1):
-        if chi_rho_decision(x, k, node_budget=node_budget,
-                            max_order=max_order) is not None:
-            return mode == "min"
-    return mode == "max"
+    """The screen's verdict alone: whether chi_rho(x) beats best in mode."""
+    return _improvement(x, mode, best, node_budget, max_order) is not None
 
 
 def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
@@ -286,9 +299,10 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     map and an optimal coloring for it.
 
     The witness is the first map, in enumeration order, that attains the
-    optimum.  Once a best value exists, a map is solved only if it passes
-    the screen of _may_improve.  explored counts the settled maps, screened
-    out or solved.  Budget exhaustion (enumeration bound or solver node
+    optimum.  Once a best value exists, every map goes through the screen
+    of _improvement, which hands back the map's value and witness when it
+    beats the best.  explored counts the settled maps, screened out or
+    solved.  Budget exhaustion (enumeration bound or solver node
     budget) yields a partial result with complete=False and the explored
     count.
     """
@@ -303,10 +317,13 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     try:
         for f in enumerate_maps(g, h, reduce_symmetry, enum_bound):
             x = sierpinski_product(g, h, f).graph
-            if best is None or _may_improve(x, mode, best, node_budget,
-                                            max_order):
-                best, best_col = chi_rho_exact(x, node_budget=node_budget,
-                                               max_order=max_order)
+            if best is None:
+                solved = chi_rho_exact(x, node_budget=node_budget,
+                                       max_order=max_order)
+            else:
+                solved = _improvement(x, mode, best, node_budget, max_order)
+            if solved is not None:
+                best, best_col = solved
                 best_map = f
             explored += 1
             if best == floor:

@@ -18,20 +18,32 @@ certified isomorphic to the input before a factorization is returned, so a
 "factored" answer is sound unconditionally.
 
 The peel edge at each step is taken greedily in a fixed deterministic order
-by default; exhaustive=True backtracks over every candidate before
-rejecting a split.
+(least lower endpoint, then least higher endpoint) by default;
+exhaustive=True backtracks over every candidate before rejecting a split.
+
+A split never re-walks the whole input.  The input is rooted once, and each
+split's peel state (_PeelState) keeps subtree sizes valid by subtracting
+the fiber's order along the peeled edge's path to the root, or by moving
+the root when the root side is peeled.  Candidates come from a lazily
+pruned heap of the subtrees of order n2 and one walk down the heavy path
+from the root; the peeled side is listed by a walk over its own vertices;
+and each peeled component is labelled once and compared with the AHU
+labels of the first fiber, computed once per split.  A peel thus costs
+O(n2 + depth) up to log factors, and exhaustive mode backtracks by undoing
+peels on the same state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import InconsistentTraceError
-from .graphs import (Graph, is_connected, is_tree, reachable,
-                     rooted_tree_iso_map, tree_canonical_form, tree_iso_map,
-                     tree_isomorphic, tree_preorder)
+from .graphs import (Graph, _ahu_labels, _centers, is_connected, is_tree,
+                     reachable, rooted_tree_iso_map, tree_canonical_form,
+                     tree_iso_map, tree_isomorphic, tree_preorder)
 from .product import VertexMap, sierpinski_product
 
 
@@ -192,8 +204,9 @@ def recognize_tree_product(x: Graph, exhaustive: bool = False) -> RecognitionOut
 
     found: list[Factorization] = []
     seen_shapes: set[tuple[str, str]] = set()
+    rooting = _rooting(x)
     for n1, n2 in splits:
-        fact, reason = _try_split(x, n1, n2, exhaustive)
+        fact, reason = _try_split(x, n1, n2, exhaustive, rooting)
         if fact is None:
             diagnostics[f"{n1}x{n2}"] = reason
             continue
@@ -205,97 +218,256 @@ def recognize_tree_product(x: Graph, exhaustive: bool = False) -> RecognitionOut
     return RecognitionOutcome(status, found, diagnostics)
 
 
-def _split_candidates(x: Graph, peeled: bytearray, n2: int
-                      ) -> Iterator[tuple[tuple[int, int], list[int]]]:
-    """Lazily yield the ((near, far), fiber-side) candidates of the subtree
-    left after removing the ``peeled`` vertices, ordered by the edge's
-    lower endpoint, then its higher one.
+# parent, subtree size and child set of every vertex, rooted at vertex 0
+_Rooting = tuple[list[int], list[int], list[set[int]]]
 
-    One preorder pass from the lowest vertex left gives every subtree size,
-    and the subtree below an edge is a slice of that preorder, so a side
-    costs only the time to copy it, and only when it is asked for.
+
+def _rooting(x: Graph) -> _Rooting:
+    """The tree x rooted at vertex 0 by one preorder: parents, subtree
+    sizes and child sets, shared by the peel states of every split."""
+    order, parent = tree_preorder(x.adj, 0)
+    kids: list[set[int]] = [set() for _ in range(x.order)]
+    for v in order[1:]:
+        kids[parent[v]].add(v)
+    return parent, _subtree_sizes(order, parent), kids
+
+
+class _PeelState:
+    """The part of x left while fibers of order n2 are peeled off it.
+
+    It starts from ``_rooting(x)`` and copies what it changes.  ``parent``
+    never changes; ``kids[v]`` holds the children of v that are left and
+    ``size[v]`` the order of v's subtree among the vertices left, kept valid
+    for every vertex left.  Every edge left joins some c to ``parent[c]``,
+    c below the current ``root`` (whose own parent entry is stale once the
+    root has moved).  A candidate (near, far) is an edge splitting off
+    ``n2`` vertices on the side of near: the subtree of c = near when
+    ``parent[near] == far`` (the child side), else everything left outside
+    the subtree of c = far (the root side).  Peeling the child side
+    subtracts n2 along the path from far up to the root; peeling the root
+    side makes far the root and changes no size.  Either costs
+    O(n2 + depth), and ``undo`` reverts the last peel.
     """
-    order, parent = tree_preorder(x.adj, peeled.index(0), peeled)
-    size = _subtree_sizes(order, parent)
-    total = len(order)
-    # every edge joins a non-root vertex to its parent; when both sides
-    # have order n2, the subtree side is the candidate
-    hits = []
-    for lo in range(1, total):
-        child = order[lo]
-        if size[child] == n2 or total - size[child] == n2:
-            other = parent[child]
-            hits.append((min(child, other), max(child, other), lo))
-    for _, _, lo in sorted(hits):
-        child, k = order[lo], size[order[lo]]
-        if k == n2:
-            yield (child, parent[child]), order[lo:lo + k]
+
+    def __init__(self, rooting: _Rooting, n2: int):
+        self.parent, size, kids = rooting
+        self.size = size[:]
+        self.kids = list(map(set.copy, kids))
+        self.n2 = n2
+        self.root = 0
+        self.total = len(size)
+        self.peeled = bytearray(self.total)  # 1 marks a peeled vertex
+        self.log: list[tuple[int, int, list[int], int]] = []
+        # (lower endpoint, higher endpoint, c) for the edges (c, parent[c])
+        # whose subtree side has order n2; a superset of them, pruned lazily
+        self.heap = [self._entry(c) for c in range(1, self.total)
+                     if size[c] == n2]
+        heapify(self.heap)
+
+    def _entry(self, c: int) -> tuple[int, int, int]:
+        p = self.parent[c]
+        return (c, p, c) if c < p else (p, c, c)
+
+    def _valid(self, c: int) -> bool:
+        return (self.size[c] == self.n2 and c != self.root
+                and not self.peeled[c])
+
+    def _heavy(self) -> Optional[int]:
+        """The c whose subtree leaves n2 vertices outside it, when that is
+        more than n2 inside it (else the candidates are all in the heap).
+        Such a c lies on the path from the root through children holding
+        more than half the vertices; each child passed over puts its whole
+        subtree outside, so the walk stops after O(n2) children."""
+        need = self.total - self.n2
+        if need <= self.n2:
+            return None
+        size, u = self.size, self.root
+        while True:
+            slack = size[u] - 1 - need  # room left for u's other subtrees
+            if slack < 0:
+                return None
+            for w in self.kids[u]:
+                if size[w] >= need:
+                    break
+                slack -= size[w]
+                if slack < 0:
+                    return None
+            else:
+                return None
+            if size[w] == need:
+                return w
+            u = w
+
+    def _oriented(self, c: int, low_path: set[int]) -> tuple[int, int]:
+        """Candidate c as (near, far).  When both sides have order n2
+        (``low_path`` is not empty), near's side is the one without the
+        lowest vertex left: c's subtree unless c is on ``low_path``."""
+        p = self.parent[c]
+        if self.size[c] == self.n2 and c not in low_path:
+            return c, p
+        return p, c
+
+    def _low_path(self) -> set[int]:
+        """The lowest vertex left and its ancestors, when both sides of
+        every candidate have order n2; else empty."""
+        if self.total != 2 * self.n2:
+            return set()
+        v = self.peeled.index(0)
+        path = {v}
+        while v != self.root:
+            v = self.parent[v]
+            path.add(v)
+        return path
+
+    def least(self) -> list[tuple[int, int]]:
+        """The candidate with the least (lower, higher) endpoint pair, as a
+        list of at most one."""
+        heap = self.heap
+        while heap and not self._valid(heap[0][2]):
+            heappop(heap)
+        best = heap[0] if heap else None
+        c = self._heavy()
+        if c is not None and (best is None or self._entry(c) < best):
+            best = self._entry(c)
+        return [] if best is None else [self._oriented(best[2],
+                                                       self._low_path())]
+
+    def candidates(self) -> list[tuple[int, int]]:
+        """Every candidate, ordered by its (lower, higher) endpoint pair;
+        the heap is rebuilt from the valid entries on the way."""
+        self.heap = sorted({e for e in self.heap if self._valid(e[2])})
+        entries = list(self.heap)
+        c = self._heavy()
+        if c is not None:
+            entries.append(self._entry(c))
+            entries.sort()
+        low = self._low_path()
+        return [self._oriented(e[2], low) for e in entries]
+
+    def side(self, near: int, far: int) -> list[int]:
+        """The vertices on near's side of the candidate edge, by a walk
+        over them alone."""
+        if self.parent[near] == far:
+            start, skip = near, -1
         else:
-            yield (parent[child], child), order[:lo] + order[lo + k:]
+            start, skip = self.root, far
+        out = [start]
+        stack = [start]
+        while stack:
+            for w in self.kids[stack.pop()]:
+                if w != skip:
+                    out.append(w)
+                    stack.append(w)
+        return out
+
+    def _add_up(self, v: int, delta: int) -> None:
+        """Add delta to the sizes of v and its ancestors up to the root."""
+        size, parent, root, n2 = self.size, self.parent, self.root, self.n2
+        while True:
+            size[v] += delta
+            if size[v] == n2:
+                heappush(self.heap, self._entry(v))
+            if v == root:
+                return
+            v = parent[v]
+
+    def peel(self, near: int, far: int, side: list[int]) -> None:
+        """Remove ``side``, the vertices on near's side of (near, far)."""
+        self.log.append((near, far, side, self.root))
+        for v in side:
+            self.peeled[v] = 1
+        self.total -= self.n2
+        if self.parent[near] == far:
+            self.kids[far].discard(near)
+            self._add_up(far, -self.n2)
+        else:
+            self.root = far
+
+    def undo(self) -> None:
+        """Put back the fiber removed by the last peel."""
+        near, far, side, self.root = self.log.pop()
+        for v in side:
+            self.peeled[v] = 0
+        self.total += self.n2
+        if self.parent[near] == far:
+            self.kids[far].add(near)
+            self._add_up(far, self.n2)
+        for v in chain(side, (far,)):
+            if self._valid(v):
+                heappush(self.heap, self._entry(v))
 
 
-def _peel(x: Graph, n2: int, exhaustive: bool
+def _fiber_labels(x: Graph, comp: tuple[int, ...], table: dict,
+                  centers: int = 2) -> list[int]:
+    """AHU labels, from the shared ``table``, of the subtree of x on the
+    sorted vertices ``comp`` rooted at its first ``centers`` centers.  Two
+    such subtrees are isomorphic exactly when the label at one center of
+    the first is among the labels at the centers of the second."""
+    index = {v: i for i, v in enumerate(comp)}
+    adj = [[index[w] for w in x.adj[v] if w in index] for v in comp]
+    return [_ahu_labels(adj, c, table)[0][c] for c in _centers(adj)[:centers]]
+
+
+def _peel(x: Graph, n2: int, exhaustive: bool, rooting: _Rooting
           ) -> tuple[Optional[PeelTrace], str]:
     """Peel fibers of order n2 off x until n2 vertices remain.
 
     Greedy mode takes the first candidate at every step and keeps nothing
     to go back to.  Exhaustive mode keeps, for every peel on the current
     path, the candidates not yet tried, and backtracks through them in
-    depth-first order.  Returns the trace, or None and the last reason a
-    branch failed.
+    depth-first order, undoing peels on the one peel state.  Each peeled
+    component is labelled once and checked against the labels of the
+    first fiber at its centers.  Returns the trace, or None and the last
+    reason a branch failed.
     """
-    reason = ("no pendant split edge isolates a component of order "
-              f"{n2} at the first step")
+    state = _PeelState(rooting, n2)
+    table: dict = {}
     steps: list[PeelStep] = []
     frames = []  # (reference, untried candidates) per peel on the path
-    peeled = bytearray(x.order)  # 1 marks a vertex of a peeled fiber
-    reference: Optional[Graph] = None
+    reference: Optional[list[int]] = None  # labels of the first fiber
     while True:
-        if x.order - n2 * len(steps) == n2:
-            final = tuple(v for v in range(x.order) if not peeled[v])
-            if reference is None or tree_isomorphic(x.induced(final),
-                                                    reference):
+        if state.total == n2:
+            final = tuple(v for v in range(x.order) if not state.peeled[v])
+            if reference is None or _fiber_labels(x, final, table, 1)[0] \
+                    in reference:
                 return PeelTrace(x, tuple(steps), final), "ok"
             reason = "last remaining component does not match the fiber"
-            cands: Iterator = iter(())
+            found = []
         else:
-            cands = _split_candidates(x, peeled, n2)
-            first = next(cands, None)
-            if first is None:
+            found = state.candidates() if exhaustive else state.least()
+            if not found:
                 reason = (f"after {len(steps)} peels no pendant split edge "
                           f"isolates a component of order {n2}")
-            else:
-                cands = chain((first,), cands if exhaustive else ())
+        cands = iter(found)
         while True:
             cand = next(cands, None)
             if cand is None:
                 if not frames:
                     return None, reason
                 reference, cands = frames.pop()
-                for v in steps.pop().component:
-                    peeled[v] = 0
+                steps.pop()
+                state.undo()
                 continue
-            (near, far), side = cand
+            side = state.side(*cand)
             comp = tuple(sorted(side))
-            sub = x.induced(comp)
-            if reference is not None and not tree_isomorphic(sub, reference):
+            if reference is not None and \
+                    _fiber_labels(x, comp, table, 1)[0] not in reference:
                 reason = (f"peeled component at step {len(steps)} is not "
                           "isomorphic to the first fiber")
                 continue
             if exhaustive:
                 frames.append((reference, cands))
-            steps.append(PeelStep(len(steps), (near, far), comp))
-            for v in comp:
-                peeled[v] = 1
+            steps.append(PeelStep(len(steps), cand, comp))
+            state.peel(*cand, side)
             if reference is None:
-                reference = sub
+                reference = _fiber_labels(x, comp, table)
             break
 
 
-def _try_split(x: Graph, n1: int, n2: int, exhaustive: bool
-               ) -> tuple[Optional[Factorization], str]:
+def _try_split(x: Graph, n1: int, n2: int, exhaustive: bool,
+               rooting: _Rooting) -> tuple[Optional[Factorization], str]:
     """Peel n1 - 1 fibers of order n2 off x, then rebuild and certify."""
-    trace, reason = _peel(x, n2, exhaustive)
+    trace, reason = _peel(x, n2, exhaustive, rooting)
     if trace is None:
         return None, reason
     base = Graph.from_edges(n1, trace.base_edges())

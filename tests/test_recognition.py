@@ -1,13 +1,15 @@
 import random
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from sierpack.families import path_path_min_map
 from sierpack.graphs import (Graph, free_trees, path, random_tree, star,
                              tree_canonical_form, tree_iso_map,
-                             tree_isomorphic)
+                             tree_isomorphic, tree_preorder)
 from sierpack.product import VertexMap, sierpinski_product
-from sierpack.recognition import (_split_candidates, pendant_split_edges,
+from sierpack.recognition import (PeelStep, PeelTrace, _PeelState, _peel,
+                                  _rooting, pendant_split_edges,
                                   recognize_tree_product, reconstruct_map)
 
 
@@ -198,7 +200,35 @@ def test_tree_layer_depth_does_not_grow_with_input():
     assert any(fact.base.order == 120 for fact in out.factorizations)
 
 
-# the eager candidate list the lazy generator replaced, kept as its oracle
+def test_relabelled_long_path_product():
+    # a path of order 2,000 in random vertex order: deep rootings, and every
+    # divisor pair of 2,000 is a factorization
+    vmap, _ = path_path_min_map(40, 50)
+    prod = sierpinski_product(path(40), path(50), vmap).graph
+    perm = list(range(prod.order))
+    random.Random(46).shuffle(perm)
+    out = recognize_tree_product(prod.relabel(perm))
+    assert out.status == "factored"
+    assert sorted((f.base.order, f.fiber.order)
+                  for f in out.factorizations) == \
+        sorted((2000 // d, d) for d in range(2, 1001) if 2000 % d == 0)
+
+
+def test_large_tree_product_under_a_shallow_stack():
+    rng = random.Random(47)
+    base, fiber = random_tree(60, rng), random_tree(60, rng)
+    f = VertexMap(60, 60, tuple(rng.randrange(60) for _ in range(60)))
+    prod = sierpinski_product(base, fiber, f).graph
+    with _shallow_stack():
+        out = recognize_tree_product(prod)
+    assert out.status == "factored"
+    fact = next(f for f in out.factorizations if f.base.order == 60)
+    assert tree_isomorphic(fact.base, base)
+    assert tree_isomorphic(fact.fiber, fiber)
+
+
+# the eager candidate list of an earlier version, kept as the oracle for the
+# peel state's candidates
 
 def _old_subtree_sizes(adj, vertices, root):
     alive = set(vertices)
@@ -266,17 +296,155 @@ def test_split_candidates_match_eager_oracle():
         rng.shuffle(perm)
         x = x.relabel(perm)
         remaining = frozenset(range(x.order))
-        peeled = bytearray(x.order)
+        state = _PeelState(_rooting(x), n2)
         # walk one random peel path, comparing the candidates at every step
         while len(remaining) > n2:
-            new = [(edge, frozenset(side)) for edge, side
-                   in _split_candidates(x, peeled, n2)]
+            new = [(edge, frozenset(state.side(*edge)))
+                   for edge in state.candidates()]
             assert new == _old_split_candidates(x, remaining, n2)
+            assert state.least() == [edge for edge, _ in new[:1]]
             compared += 1
             if not new:
                 break
-            side = new[rng.randrange(len(new))][1]
+            edge, side = new[rng.randrange(len(new))]
             remaining = remaining - side
-            for v in side:
-                peeled[v] = 1
+            state.peel(*edge, list(side))
     assert compared > 100
+
+
+def _random_inputs(rng, count):
+    """Random tree products in shuffled vertex order, and random trees of
+    composite order (mostly not products)."""
+    for i in range(count):
+        if i % 3 == 2:
+            x = random_tree(rng.choice([12, 16, 18, 24, 30, 36]), rng)
+        else:
+            n1, n2 = rng.randint(2, 9), rng.randint(2, 9)
+            t1, t2 = random_tree(n1, rng), random_tree(n2, rng)
+            f = VertexMap(n1, n2, tuple(rng.randrange(n2) for _ in range(n1)))
+            x = sierpinski_product(t1, t2, f).graph
+        perm = list(range(x.order))
+        rng.shuffle(perm)
+        yield x.relabel(perm)
+
+
+def _snapshot(state):
+    live = [v for v in range(len(state.size)) if not state.peeled[v]]
+    return (state.root, state.total, bytes(state.peeled),
+            [state.size[v] for v in live], [set(state.kids[v]) for v in live],
+            state.candidates())
+
+
+def test_peel_then_undo_restores_the_state():
+    rng = random.Random(48)
+    undone = 0
+    for x in _random_inputs(rng, 60):
+        for n2 in range(2, x.order // 2 + 1):
+            if x.order % n2:
+                continue
+            state = _PeelState(_rooting(x), n2)
+            start = _snapshot(state)
+            depth = 0
+            while state.total > n2:
+                before = _snapshot(state)
+                cands = before[-1]
+                if not cands:
+                    break
+                edge = cands[rng.randrange(len(cands))]
+                state.peel(*edge, state.side(*edge))
+                state.undo()
+                assert _snapshot(state) == before
+                assert state.least() == cands[:1]
+                undone += 1
+                edge = cands[rng.randrange(len(cands))]
+                state.peel(*edge, state.side(*edge))
+                depth += 1
+            for _ in range(depth):
+                state.undo()
+            assert _snapshot(state) == start
+    assert undone > 200
+
+
+# the per-peel rebuild the peel state replaced, kept as its oracle
+
+def _rebuilt_candidates(x, peeled, n2):
+    order, parent = tree_preorder(x.adj, peeled.index(0), peeled)
+    size = [1] * x.order
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    total = len(order)
+    hits = []
+    for lo in range(1, total):
+        child = order[lo]
+        if size[child] == n2 or total - size[child] == n2:
+            other = parent[child]
+            hits.append((min(child, other), max(child, other), lo))
+    for _, _, lo in sorted(hits):
+        child, k = order[lo], size[order[lo]]
+        if k == n2:
+            yield (child, parent[child]), order[lo:lo + k]
+        else:
+            yield (parent[child], child), order[:lo] + order[lo + k:]
+
+
+def _rebuilt_peel(x, n2, exhaustive):
+    reason = None
+    steps = []
+    frames = []
+    peeled = bytearray(x.order)
+    reference = None
+    while True:
+        if x.order - n2 * len(steps) == n2:
+            final = tuple(v for v in range(x.order) if not peeled[v])
+            if reference is None or tree_isomorphic(x.induced(final),
+                                                    reference):
+                return PeelTrace(x, tuple(steps), final), "ok"
+            reason = "last remaining component does not match the fiber"
+            cands = iter(())
+        else:
+            cands = _rebuilt_candidates(x, peeled, n2)
+            first = next(cands, None)
+            if first is None:
+                reason = (f"after {len(steps)} peels no pendant split edge "
+                          f"isolates a component of order {n2}")
+            else:
+                cands = chain((first,), cands if exhaustive else ())
+        while True:
+            cand = next(cands, None)
+            if cand is None:
+                if not frames:
+                    return None, reason
+                reference, cands = frames.pop()
+                for v in steps.pop().component:
+                    peeled[v] = 0
+                continue
+            (near, far), side = cand
+            comp = tuple(sorted(side))
+            sub = x.induced(comp)
+            if reference is not None and not tree_isomorphic(sub, reference):
+                reason = (f"peeled component at step {len(steps)} is not "
+                          "isomorphic to the first fiber")
+                continue
+            if exhaustive:
+                frames.append((reference, cands))
+            steps.append(PeelStep(len(steps), (near, far), comp))
+            for v in comp:
+                peeled[v] = 1
+            if reference is None:
+                reference = sub
+            break
+
+
+def test_peel_matches_per_peel_rebuild():
+    rng = random.Random(49)
+    splits = 0
+    for x in _random_inputs(rng, 120):
+        rooting = _rooting(x)
+        for n2 in range(2, x.order // 2 + 1):
+            if x.order % n2:
+                continue
+            for exhaustive in (False, True) if x.order <= 16 else (False,):
+                got = _peel(x, n2, exhaustive, rooting)
+                assert got == _rebuilt_peel(x, n2, exhaustive)
+                splits += 1
+    assert splits > 400
