@@ -18,11 +18,10 @@ from math import comb
 from typing import Callable
 
 from .coloring import chi_rho_exact, chi_rho_naive
-from .families import (color_class_T, complete_by_K2_value,
+from .families import (FAMILIES, color_class_T, complete_by_K2_value,
                        complete_pair_value, corona_table_value,
-                       k2_special_value, path_path_min_map, path_star_coloring,
-                       spine_decompose, star_path_coloring,
-                       star_star_values_and_colorings)
+                       k2_special_value, path_star_coloring, spine_decompose,
+                       star_path_coloring, star_star_values_and_colorings)
 from .graphs import (Graph, complete, corona, diameter, free_trees, path,
                      random_tree, star, tree_isomorphic, two_packing_number)
 from .product import (VertexMap, enumerate_maps, sierpinski_chi,
@@ -164,14 +163,15 @@ def check_5_path_path_min(scale: str) -> dict:
     ok = True
     for m in range(3, hi + 1):
         for n in range(m, hi + 1):
-            vm, col = path_path_min_map(m, n)
-            prod = sierpinski_product(path(m), path(n), vm)
+            mn = {"m": m, "n": n}
+            prod, col = FAMILIES["path-path"].construct(mn, "min")
+            want = FAMILIES["path-path"].value(mn, "min").value
             g = prod.graph
             is_path = g.size == g.order - 1 and \
                 max(g.degree(v) for v in range(g.order)) <= 2 and \
                 diameter(g) == g.order - 1
             value = chi_rho_exact(g)[0]
-            ok &= is_path and g.order == m * n and value == 3 and col.k == 3
+            ok &= is_path and g.order == m * n and value == want == col.k
             rows.append({"m": m, "n": n, "order": g.order,
                          "is_path": is_path, "chi": value})
     return {"ok": ok, "rows": rows}
@@ -218,17 +218,19 @@ def check_8_star_path(scale: str) -> dict:
     trials = _scaled(scale, 20, 100)
     rng = random.Random(44)
     ok = True
+    star_path = FAMILIES["star-path"]
     for m in range(3, min_hi[0] + 1):
         for n in range(2, min_hi[1] + 1):
             col = star_path_coloring(m, n, mode="min")
-            ok &= set(col.colors) == {1, 2, 3}
+            want = star_path.value({"m": m, "n": n}, "min").value
+            ok &= set(col.colors) == set(range(1, want + 1))
     worst = 0
     for _ in range(trials):
         m = rng.randint(3, 10)
         n = rng.randint(2, 10)
         f = VertexMap(m + 1, n, tuple(rng.randrange(n) for _ in range(m + 1)))
         col = star_path_coloring(m, n, f, mode="max_construction")
-        ok &= col.k <= 7
+        ok &= col.k <= star_path.value({"m": m, "n": n}, "max").value
         worst = max(worst, col.k)
     return {"ok": ok, "min_grid": "m<=%d n<=%d" % min_hi,
             "random_trials": trials, "max_colors_seen": worst}
@@ -238,9 +240,11 @@ def check_9_path_star(scale: str) -> dict:
     trials = _scaled(scale, 20, 100)
     m_hi, n_hi = _scaled(scale, (12, 4), (20, 6))
     rng = random.Random(45)
+    path_star = FAMILIES["path-star"]
     col = path_star_coloring(14, 3, mode="min")
     figure = _figure_coloring_14_3()
-    fig_ok = list(col.colors) == figure and col.k == 3
+    fig_ok = list(col.colors) == figure and \
+        col.k == path_star.value({"m": 14, "n": 3}, "min").value
     ok = fig_ok
     worst = 0
     for _ in range(trials):
@@ -248,7 +252,7 @@ def check_9_path_star(scale: str) -> dict:
         n = rng.randint(3, n_hi)
         f = VertexMap(m, n + 1, tuple(rng.randrange(n + 1) for _ in range(m)))
         col = path_star_coloring(m, n, f, mode="max_construction")
-        ok &= col.k <= 9
+        ok &= col.k <= path_star.value({"m": m, "n": n}, "max").value
         worst = max(worst, col.k)
     return {"ok": ok, "figure_instance_reproduced": fig_ok,
             "random_trials": trials, "max_colors_seen": worst}
@@ -271,19 +275,23 @@ def check_10_star_star(scale: str) -> dict:
     pairs = _scaled(scale, [(3, 3)], [(3, 3), (3, 4), (4, 3)])
     rows = []
     ok = True
+    star_star = FAMILIES["star-star"]
     for m, n in pairs:
         exact_min = sierpinski_chi(star(m), star(n), "min",
                                    reduce_symmetry=True).value
         exact_max = sierpinski_chi(star(m), star(n), "max",
                                    reduce_symmetry=True).value
-        lo, hi = min(m, n) + 2, max(m, n) + 2
+        want_min = star_star.value({"m": m, "n": n}, "min").value
+        bound = star_star.value({"m": m, "n": n}, "max")
+        lo, hi = bound.lo, bound.hi
         construction_ok = True
         worst = 0
         for f in enumerate_maps(star(m), star(n)):
             _, col = star_star_values_and_colorings(m, n, f)
             construction_ok &= col.k <= hi
             worst = max(worst, col.k)
-        ok &= exact_min == 3 and lo <= exact_max <= hi and construction_ok
+        ok &= exact_min == want_min and lo <= exact_max <= hi and \
+            construction_ok
         rows.append({"m": m, "n": n, "exact_min": exact_min,
                      "exact_max": exact_max, "interval": [lo, hi],
                      "constructions_verify": construction_ok,

@@ -19,12 +19,9 @@ from typing import Optional
 from . import checks
 from .coloring import (chi_rho_decision, chi_rho_exact,
                        verify_packing_coloring)
-from .errors import (EnumerationBudgetExceeded, InputFormatError,
-                     SearchBudgetExceeded, SierpackError)
-from .families import (complete_by_K2_value, complete_pair_value,
-                       corona_table_value, k2_special_value,
-                       path_path_min_map, path_star_coloring,
-                       star_path_coloring, star_star_values_and_colorings)
+from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
+                     InputFormatError, SearchBudgetExceeded, SierpackError)
+from .families import FAMILIES
 from .formats import emit_dot, emit_graph_text, sniff_parse
 from .graphs import Graph, complete, path, star
 from .product import VertexMap, sierpinski_chi, sierpinski_product
@@ -172,70 +169,15 @@ def _cmd_family(args) -> int:
     for item in (args.params.split(",") if args.params else []):
         key, _, val = item.partition("=")
         params[key.strip()] = _integer(val, f"--params {key.strip()}")
-    name = args.name
-    coloring = None
-    graph = None
-    if name == "complete-complete":
-        value = complete_pair_value(params["m"], params["n"], args.mode)
-    elif name == "complete-k2":
-        if "m1" in params:
-            value = complete_by_K2_value(params["m"], params["m1"],
-                                         params["m2"])
-        else:
-            value = k2_special_value(params["m"], "fiber_K2", args.mode)
-    elif name == "k2-complete":
-        value = k2_special_value(params["n"], "base_K2", args.mode)
-    elif name == "corona":
-        value = corona_table_value(params["n"], params["p"])
-    elif name == "path-path":
-        vmap, coloring = path_path_min_map(params["m"], params["n"])
-        graph = sierpinski_product(path(params["m"]), path(params["n"]),
-                                   vmap).graph
-        value = {"family": "path-path", "params": params, "kind": "exact",
-                 "value": 3, "source": "path-path-min", "map": vmap.to_text()}
-    elif name == "star-path":
-        mode = "min" if args.mode == "min" else "max_construction"
-        vmap = VertexMap.parse(args.map) if args.map else None
-        coloring = star_path_coloring(params["m"], params["n"], vmap, mode)
-        graph = sierpinski_product(
-            star(params["m"]), path(params["n"]),
-            vmap if vmap is not None else
-            VertexMap.constant(params["m"] + 1, params["n"], 0)).graph
-        value = {"family": "star-path", "params": params, "kind":
-                 "exact" if mode == "min" else "upper_bound",
-                 "value": 3 if mode == "min" else 7,
-                 "source": "star-path-min" if mode == "min"
-                 else "star-path-max-bound"}
-    elif name == "path-star":
-        mode = "min" if args.mode == "min" else "max_construction"
-        vmap = VertexMap.parse(args.map) if args.map else None
-        coloring = path_star_coloring(params["m"], params["n"], vmap, mode,
-                                      cyclic_extension=args.cyclic)
-        from .families import path_star_min_map
-        used = vmap if vmap is not None else path_star_min_map(params["m"],
-                                                               params["n"])
-        graph = sierpinski_product(path(params["m"]), star(params["n"]),
-                                   used).graph
-        value = {"family": "path-star", "params": params, "kind":
-                 "exact" if mode == "min" else "upper_bound",
-                 "value": 3 if mode == "min" else 9,
-                 "source": "path-star-min" if mode == "min"
-                 else "path-star-max-bound"}
-    elif name == "star-star":
-        vmap = VertexMap.parse(args.map) if args.map else None
-        fam, coloring = star_star_values_and_colorings(params["m"],
-                                                       params["n"], vmap)
-        from .families import star_star_min_map
-        used = vmap if vmap is not None else star_star_min_map(params["m"],
-                                                               params["n"])
-        graph = sierpinski_product(star(params["m"]), star(params["n"]),
-                                   used).graph
-        value = fam
-    else:
-        raise InputFormatError(f"unknown family {name!r}")
-    payload = value.to_json_dict() if hasattr(value, "to_json_dict") else value
-    if coloring is not None and graph is not None:
-        witness = _witness_dict(graph, coloring)
+    vmap = VertexMap.parse(args.map) if args.map else None
+    family = FAMILIES[args.name]
+    payload = family.value(params, args.mode).to_json_dict()
+    built = family.construct(params, args.mode, vmap, args.cyclic)
+    if built is not None:
+        prod, coloring = built
+        if family.names_map:
+            payload["map"] = prod.vmap.to_text()
+        witness = _witness_dict(prod.graph, coloring)
         payload["coloring_k"] = witness["k"]
         payload["coloring_verified"] = witness["verified"]
         if args.emit_coloring:
@@ -320,9 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="closed-form family values and "
                                       "constructive colorings")
-    p.add_argument("name", choices=("complete-complete", "complete-k2",
-                                    "k2-complete", "corona", "path-path",
-                                    "star-path", "path-star", "star-star"))
+    p.add_argument("name", choices=tuple(FAMILIES))
     p.add_argument("--params", required=True, help="e.g. m=3,n=4")
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--map", help="vertex map for the construction modes")
@@ -354,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputFormatError as exc:
+    except (InputFormatError, FactorMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SearchBudgetExceeded, EnumerationBudgetExceeded) as exc:

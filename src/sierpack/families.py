@@ -1,6 +1,12 @@
 """Closed-form values and constructive colorings for products of complete
 graphs, paths and stars, plus the corona tables they are checked against.
 
+FAMILIES, at the end of the module, is the one registry of the paper's
+product families: for each it names the parameters, gives the value in each
+mode it has, and, where the paper colors the family constructively, the
+factor graphs, the default map and the verified coloring.  The `family`
+command and the `verify-paper` checks read it.
+
 Every coloring built here is verified before it is returned; a verification
 failure raises ConstructionError.  Values carry a source token naming the
 formula they come from, so reports can say what a number was checked
@@ -21,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Optional
 
 from .coloring import PackingColoring, verify_packing_coloring
 from .errors import ConstructionError, ConstructionOutOfRange
-from .graphs import Graph, complete, is_tree, path, star, tree_preorder
+from .graphs import Graph, is_tree, path, star, tree_preorder
 from .product import ProductGraph, VertexMap, sierpinski_product
 
 SPINE_CYCLE = (1, 4, 1, 5, 1, 6, 1, 7)
@@ -178,29 +184,28 @@ def corona_table_value(n: int, p: int) -> FamilyValue:
 
 def path_path_min_map(m: int, n: int) -> tuple[VertexMap, PackingColoring]:
     """The endpoint-alternating map that turns P_m (x)_g P_n into the path
-    on mn vertices (ends at fiber vertex 1 when i mod 4 is 1 or 2, at fiber
-    vertex n otherwise, 1-indexed), plus a 3-coloring of the result."""
-    if m < 2 or n < 2:
-        raise ValueError("path_path_min_map needs m, n >= 2")
-    image = tuple(0 if i % 4 in (1, 2) else n - 1 for i in range(1, m + 1))
-    vm = VertexMap(m, n, image)
-    prod = sierpinski_product(path(m), path(n), vm)
+    on mn vertices, plus a 3-coloring of the result."""
+    prod, coloring = FAMILIES["path-path"].construct({"m": m, "n": n}, "min")
+    return prod.vmap, coloring
+
+
+def _path_path_min(prod: ProductGraph) -> PackingColoring:
     g = prod.graph
     ends = [v for v in range(g.order) if g.degree(v) == 1]
     if len(ends) != 2 or max(g.degree(v) for v in range(g.order)) > 2 \
             or not is_tree(g):
         raise ConstructionError("endpoint-alternating map did not yield a path")
-    walk = [min(ends)]
-    prev = -1
-    while len(walk) < g.order:
-        nxt = next(u for u in g.adj[walk[-1]] if u != prev)
-        prev = walk[-1]
-        walk.append(nxt)
-    cycle = (1, 2, 1, 3)
-    colors = [0] * g.order
-    for pos, v in enumerate(walk):
-        colors[v] = cycle[pos % 4]
-    return vm, _checked(g, colors, "path-path-min")
+    return _by_depth(g, min(ends), (1, 2, 1, 3), "path-path-min")
+
+
+def _by_depth(g: Graph, root: int, pattern: tuple[int, ...],
+              what: str) -> PackingColoring:
+    """The tree g colored by depth from root, cycling through pattern."""
+    order, parent = tree_preorder(g.adj, root)
+    depth = [0] * g.order
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    return _checked(g, [pattern[d % len(pattern)] for d in depth], what)
 
 
 def _is_canonical_path(g: Graph) -> bool:
@@ -346,40 +351,17 @@ def star_path_coloring(m: int, n: int, f: Optional[VertexMap] = None,
     vertices carrying three or more fibers must then take a high color, and
     inputs too dense for that raise ConstructionOutOfRange.
     """
-    if m < 3 or n < 1:
-        raise ValueError("star_path_coloring needs m >= 3 and n >= 1")
-    if mode == "min":
-        want = star_path_min_map(m, n)
-        if f is None:
-            f = want
-        elif f != want:
-            raise ValueError("min mode uses the constant endpoint map")
-        prod = sierpinski_product(star(m), path(n), f)
-        g = prod.graph
-        hub = prod.vertex_of(0, 0)
-        order, parent = tree_preorder(g.adj, hub)  # the product is a tree
-        dist = [0] * g.order
-        for v in order[1:]:
-            dist[v] = dist[parent[v]] + 1
-        colors = []
-        for v in range(g.order):
-            if dist[v] % 2 == 1:
-                colors.append(1)
-            elif dist[v] % 4 == 2:
-                colors.append(3)
-            else:
-                colors.append(2)
-        return _checked(g, colors, "star-path-min")
-    if mode != "max_construction":
-        raise ValueError("mode must be 'min' or 'max_construction'")
-    if f is None:
-        raise ValueError("max_construction needs the map")
-    return _star_path_max(m, n, f)
+    return _colored("star-path", m, n, f, mode)
 
 
-def _star_path_max(m: int, n: int, f: VertexMap) -> PackingColoring:
-    prod = sierpinski_product(star(m), path(n), f)
-    g = prod.graph
+def _star_path_min(prod: ProductGraph) -> PackingColoring:
+    return _by_depth(prod.graph, prod.vertex_of(0, 0), (2, 1, 3, 1),
+                     "star-path-min")
+
+
+def _star_path_max(prod: ProductGraph) -> PackingColoring:
+    g, f = prod.graph, prod.vmap
+    m, n = prod.base.order - 1, prod.fiber.order
     p = f(0)
     colors = [0] * g.order
     if p == 0 or p == n - 1:
@@ -389,9 +371,8 @@ def _star_path_max(m: int, n: int, f: VertexMap) -> PackingColoring:
         for i in range(1, m + 1):
             at_color = hub_cycle[f(i) % 8]
             pat = (1, 3, 1, 2) if at_color == 2 else (1, 2, 1, 3)
-            run = range(n) if p == 0 else range(n - 1, -1, -1)
-            for j, h in enumerate(run):
-                colors[prod.vertex_of(i, h)] = pat[j % 4]
+            for h in range(n):
+                colors[prod.vertex_of(i, h)] = pat[abs(h - p) % 4]
         return _checked(g, colors, "star-path-max-endpoint")
 
     loads = Counter(f(i) for i in range(1, m + 1))
@@ -460,25 +441,12 @@ def _fill_interior_fiber(colors: list[int], prod: ProductGraph, i: int,
     # A hangs from a high hub color: connecting vertex 1, stubs 2,1,3,1 and
     # 3,1,2,1.  B and C hang from a hub 1: connecting vertex 2 (resp. 3),
     # both stubs 1 at odd offsets and 3/2 (resp. 2/3) at even offsets.
-    if variant == "A":
-        colors[prod.vertex_of(i, p)] = 1
-        for t, h in enumerate(range(p + 1, n)):
-            colors[prod.vertex_of(i, h)] = (2, 1, 3, 1)[t % 4]
-        for t, h in enumerate(range(p - 1, -1, -1)):
-            colors[prod.vertex_of(i, h)] = (3, 1, 2, 1)[t % 4]
-        return
-    a, b = (2, 3) if variant == "B" else (3, 2)
-    colors[prod.vertex_of(i, p)] = a
     for h in range(n):
-        s = abs(h - p)
-        if s == 0:
-            continue
-        if s % 2 == 1:
-            colors[prod.vertex_of(i, h)] = 1
-        elif s % 4 == 2:
-            colors[prod.vertex_of(i, h)] = b
+        if variant == "A":
+            pattern = (1, 2, 1, 3) if h > p else (1, 3, 1, 2)
         else:
-            colors[prod.vertex_of(i, h)] = a
+            pattern = (2, 1, 3, 1) if variant == "B" else (3, 1, 2, 1)
+        colors[prod.vertex_of(i, h)] = pattern[abs(h - p) % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -517,44 +485,40 @@ def path_star_coloring(m: int, n: int, f: Optional[VertexMap] = None,
     remaining leaves 1 and all remaining centers 2.  Paths longer than the
     pattern need cyclic_extension=True and are always re-verified.
     """
-    if m < 2 or n < 3:
-        raise ValueError("path_star_coloring needs m >= 2 and n >= 3")
-    if mode == "min":
-        want = path_star_min_map(m, n)
-        if f is None:
-            f = want
-        elif f != want:
-            raise ValueError("min mode uses the period-8 map")
-        prod = sierpinski_product(path(m), star(n), f)
-        g = prod.graph
-        colors = []
-        for v in range(g.order):
-            if g.degree(v) <= 2:
-                colors.append(1)
-            elif prod.fiber_of(v) == 0:
-                colors.append(3 if f(prod.base_of(v)) == 0 else 2)
-            else:
-                colors.append(3)  # leaf carrying two connecting edges
-        # the degree rule is blind to the last fiber, whose connecting
-        # vertex can never carry two connecting edges; when the final
-        # connecting edge joins two degree-2 leaves (m = 3, 7 mod 8) the
-        # later endpoint takes 3, the same color a doubly-connecting leaf
-        # would have taken there
-        for (a, b), _ in prod.connecting:
-            if colors[a] == 1 and colors[b] == 1:
-                later = a if prod.base_of(a) > prod.base_of(b) else b
-                colors[later] = 3
-        return _checked(g, colors, "path-star-min")
-    if mode != "max_construction":
-        raise ValueError("mode must be 'min' or 'max_construction'")
-    if f is None:
-        raise ValueError("max_construction needs the map")
-    prod = sierpinski_product(path(m), star(n), f)
-    g = prod.graph
+    return _colored("path-star", m, n, f, mode, cyclic_extension)
+
+
+def _path_star_min(prod: ProductGraph) -> PackingColoring:
+    g, f = prod.graph, prod.vmap
+    colors = []
+    for v in range(g.order):
+        if g.degree(v) <= 2:
+            colors.append(1)
+        elif prod.fiber_of(v) == 0:
+            colors.append(3 if f(prod.base_of(v)) == 0 else 2)
+        else:
+            colors.append(3)  # leaf carrying two connecting edges
+    # the degree rule is blind to the last fiber, whose connecting vertex
+    # can never carry two connecting edges; when the final connecting edge
+    # joins two degree-2 leaves (m = 3, 7 mod 8) the later endpoint takes
+    # 3, the same color a doubly-connecting leaf would have taken there
+    for (a, b), _ in prod.connecting:
+        if colors[a] == 1 and colors[b] == 1:
+            later = a if prod.base_of(a) > prod.base_of(b) else b
+            colors[later] = 3
+    return _checked(g, colors, "path-star-min")
+
+
+def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
+    g, f, m = prod.graph, prod.vmap, prod.base.order
     src = prod.vertex_of(0, f(1))
     dst = prod.vertex_of(m - 1, f(m - 2))
-    q = _tree_path(g, src, dst)
-    if len(q) > len(PATH_STAR_SPINE_PATTERN) and not cyclic_extension:
+    parent = tree_preorder(g.adj, src)[1]  # the product is a tree
+    q = [dst]
+    while q[-1] != src:
+        q.append(parent[q[-1]])
+    q.reverse()
+    if len(q) > len(PATH_STAR_SPINE_PATTERN) and not cyclic:
         raise ConstructionOutOfRange(
             f"path of {len(q)} vertices exceeds the {len(PATH_STAR_SPINE_PATTERN)}"
             " entry pattern; pass cyclic_extension=True to wrap it")
@@ -575,24 +539,6 @@ def path_star_coloring(m: int, n: int, f: Optional[VertexMap] = None,
         raise ConstructionError(f"path-star-max violates packing contract "
                                 f"at {res.violation}")
     return col
-
-
-def _tree_path(g: Graph, src: int, dst: int) -> list[int]:
-    parent = {src: -1}
-    frontier = [src]
-    while frontier and dst not in parent:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    walk = [dst]
-    while walk[-1] != src:
-        walk.append(parent[walk[-1]])
-    walk.reverse()
-    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -618,32 +564,29 @@ def star_star_values_and_colorings(m: int, n: int,
     otherwise leaf fibers take center 2 / rest 1 and the hub fiber's
     connecting vertices take one fresh high color each.
     """
-    if m < 3 or n < 3:
-        raise ValueError("star_star needs m, n >= 3")
-    if f is None:
-        g = star_star_min_map(m, n)
-        prod = sierpinski_product(star(m), star(n), g)
-        graph = prod.graph
-        colors = [1] * graph.order
-        colors[prod.vertex_of(0, n)] = 3
-        for i in range(m + 1):
-            colors[prod.vertex_of(i, 0)] = 2
-        value = FamilyValue("star-star", (("m", m), ("n", n)), "exact",
-                            value=3, source="star-star-min")
-        return value, _checked(graph, colors, "star-star-min")
+    mode, p = "min" if f is None else "max", {"m": m, "n": n}
+    family = FAMILIES["star-star"]
+    return family.value(p, mode), family.construct(p, mode, f)[1]
 
-    prod = sierpinski_product(star(m), star(n), f)
-    graph = prod.graph
-    value = FamilyValue("star-star", (("m", m), ("n", n)), "interval",
-                        lo=min(m, n) + 2, hi=max(m, n) + 2,
-                        source="star-star-max-interval")
+
+def _star_star_min(prod: ProductGraph) -> PackingColoring:
+    m, n = prod.base.order - 1, prod.fiber.order - 1
+    colors = [1] * prod.graph.order
+    colors[prod.vertex_of(0, n)] = 3
+    for i in range(m + 1):
+        colors[prod.vertex_of(i, 0)] = 2
+    return _checked(prod.graph, colors, "star-star-min")
+
+
+def _star_star_max(prod: ProductGraph) -> PackingColoring:
+    graph, f, m = prod.graph, prod.vmap, prod.base.order - 1
     colors = [1] * graph.order
     if f(0) == 0:
         # every connecting edge lands on fiber centers: centers take
         # mutually distinct colors, everything else stays 1
         for i in range(m + 1):
             colors[prod.vertex_of(i, 0)] = 2 + i
-        return value, _checked(graph, colors, "star-star-max-central")
+        return _checked(graph, colors, "star-star-max-central")
     hub_values = sorted({f(i) for i in range(1, m + 1)})
     for i in range(1, m + 1):
         colors[prod.vertex_of(i, 0)] = 2
@@ -653,4 +596,130 @@ def star_star_values_and_colorings(m: int, n: int,
     for v in hub_values:
         colors[prod.vertex_of(0, v)] = nxt
         nxt += 1
-    return value, _checked(graph, colors, "star-star-max-offcenter")
+    return _checked(graph, colors, "star-star-max-offcenter")
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+Params = Mapping[str, int]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One product family: its parameter names and its value in each mode
+    it has.  A family the paper colors constructively also gives its factor
+    graphs, min_map, the one map its min construction colors, and the
+    construction per mode: colors[mode](product, cyclic) returns the
+    verified coloring, where cyclic is path-star's cyclic_extension."""
+
+    params: tuple[str, ...]
+    values: dict[str, Callable[[Params], FamilyValue]]
+    factors: Optional[Callable[[int, int], tuple[Graph, Graph]]] = None
+    min_map: Optional[Callable[[int, int], VertexMap]] = None
+    colors: dict[str, Callable] = field(default_factory=dict)
+    names_map: bool = False  # path-path's report names its min_map
+
+    def value(self, p: Params, mode: str) -> FamilyValue:
+        if mode not in self.values:
+            raise ValueError(f"no closed form in {mode} mode; "
+                             "`sierpack schirho` computes it exactly")
+        return self.values[mode](p)
+
+    def construct(self, p: Params, mode: str, f: Optional[VertexMap] = None,
+                  cyclic: bool = False
+                  ) -> Optional[tuple[ProductGraph, PackingColoring]]:
+        """The product the mode's construction colors, min_map in min mode
+        and f otherwise, with its coloring; None when the mode has no
+        construction or f is needed and None."""
+        self.value(p, mode)  # checks the mode and the parameters
+        color = self.colors.get(mode)
+        if color is None or (mode != "min" and f is None):
+            return None
+        m, n = p["m"], p["n"]
+        if mode == "min":
+            want = self.min_map(m, n)
+            if f not in (None, want):
+                raise ValueError("the min construction colors only the map "
+                                 + want.to_text())
+            f = want
+        prod = sierpinski_product(*self.factors(m, n), f)
+        return prod, color(prod, cyclic)
+
+
+def _colored(name: str, m: int, n: int, f: Optional[VertexMap], mode: str,
+             cyclic: bool = False) -> PackingColoring:
+    if mode not in ("min", "max_construction"):
+        raise ValueError("mode must be 'min' or 'max_construction'")
+    built = FAMILIES[name].construct({"m": m, "n": n},
+                                     "min" if mode == "min" else "max",
+                                     f, cyclic)
+    if built is None:
+        raise ValueError("max_construction needs the map")
+    return built[1]
+
+
+def _sizes(p: Params, m_lo: int, n_lo: int) -> tuple[tuple[str, int], ...]:
+    m, n = p["m"], p["n"]
+    if m < m_lo or n < n_lo:
+        raise ValueError(f"the family needs m >= {m_lo} and n >= {n_lo}")
+    return ("m", m), ("n", n)
+
+
+FAMILIES: dict[str, Family] = {
+    "complete-complete": Family(("m", "n"), {
+        mode: (lambda p, mode=mode: complete_pair_value(p["m"], p["n"], mode))
+        for mode in ("min", "max")}),
+    "complete-k2": Family(("m", "m1", "m2"), {  # m1 and m2 are optional
+        mode: (lambda p, mode=mode:
+               complete_by_K2_value(p["m"], p["m1"], p["m2"]) if "m1" in p
+               else k2_special_value(p["m"], "fiber_K2", mode))
+        for mode in ("min", "max")}),
+    "k2-complete": Family(("n",), {
+        mode: (lambda p, mode=mode: k2_special_value(p["n"], "base_K2", mode))
+        for mode in ("min", "max")}),
+    "corona": Family(("n", "p"), {
+        mode: (lambda p: corona_table_value(p["n"], p["p"]))
+        for mode in ("min", "max")}),
+    "path-path": Family(
+        ("m", "n"),
+        {"min": lambda p: FamilyValue("path-path", _sizes(p, 2, 2), "exact",
+                                      value=3, source="path-path-min")},
+        lambda m, n: (path(m), path(n)),
+        # endpoint-alternating: u_i goes to fiber vertex 1 when i mod 4 is 1
+        # or 2, to fiber vertex n otherwise (1-indexed)
+        lambda m, n: VertexMap(m, n, tuple(0 if i % 4 in (1, 2) else n - 1
+                                           for i in range(1, m + 1))),
+        {"min": lambda x, cyclic: _path_path_min(x)}, names_map=True),
+    "star-path": Family(
+        ("m", "n"),
+        {"min": lambda p: FamilyValue("star-path", _sizes(p, 3, 1), "exact",
+                                      value=3, source="star-path-min"),
+         "max": lambda p: FamilyValue("star-path", _sizes(p, 3, 1),
+                                      "upper_bound", value=7,
+                                      source="star-path-max-bound")},
+        lambda m, n: (star(m), path(n)), star_path_min_map,
+        {"min": lambda x, cyclic: _star_path_min(x),
+         "max": lambda x, cyclic: _star_path_max(x)}),
+    "path-star": Family(
+        ("m", "n"),
+        {"min": lambda p: FamilyValue("path-star", _sizes(p, 2, 3), "exact",
+                                      value=3, source="path-star-min"),
+         "max": lambda p: FamilyValue("path-star", _sizes(p, 2, 3),
+                                      "upper_bound", value=9,
+                                      source="path-star-max-bound")},
+        lambda m, n: (path(m), star(n)), path_star_min_map,
+        {"min": lambda x, cyclic: _path_star_min(x),
+         "max": _path_star_max}),
+    "star-star": Family(
+        ("m", "n"),
+        {"min": lambda p: FamilyValue("star-star", _sizes(p, 3, 3), "exact",
+                                      value=3, source="star-star-min"),
+         "max": lambda p: FamilyValue(
+             "star-star", _sizes(p, 3, 3), "interval",
+             lo=min(p["m"], p["n"]) + 2, hi=max(p["m"], p["n"]) + 2,
+             source="star-star-max-interval")},
+        lambda m, n: (star(m), star(n)), star_star_min_map,
+        {"min": lambda x, cyclic: _star_star_min(x),
+         "max": lambda x, cyclic: _star_star_max(x)}),
+}

@@ -219,17 +219,15 @@ def diameter(g: Graph) -> float:
     return distances(g).diameter
 
 
-def reachable(g: Graph, start: int = 0,
-              without: Optional[tuple[int, int]] = None) -> list[int]:
-    """The vertices reachable from start, in BFS order, optionally without
-    crossing the edge ``without``.  O(n + m) time and memory."""
-    a, b = without if without is not None else (-1, -1)
+def reachable(g: Graph, start: int = 0) -> list[int]:
+    """The vertices reachable from start, in BFS order.  O(n + m) time and
+    memory."""
     seen = bytearray(g.order)
     seen[start] = 1
     order = [start]
     for v in order:
         for w in g.adj[v]:
-            if not seen[w] and not ((v == a and w == b) or (v == b and w == a)):
+            if not seen[w]:
                 seen[w] = 1
                 order.append(w)
     return order

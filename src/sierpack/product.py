@@ -283,12 +283,6 @@ def _improvement(x: Graph, mode: str, best: int,
     return None
 
 
-def _may_improve(x: Graph, mode: str, best: int,
-                 node_budget: Optional[int], max_order: int) -> bool:
-    """The screen's verdict alone: whether chi_rho(x) beats best in mode."""
-    return _improvement(x, mode, best, node_budget, max_order) is not None
-
-
 def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                    reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND,

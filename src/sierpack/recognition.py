@@ -41,36 +41,23 @@ from itertools import chain
 from typing import Optional
 
 from .errors import InconsistentTraceError
-from .graphs import (Graph, _ahu_labels, _centers, is_connected, is_tree,
-                     reachable, rooted_tree_iso_map, tree_canonical_form,
-                     tree_iso_map, tree_isomorphic, tree_preorder)
+from .graphs import (Graph, _ahu_labels, _centers, is_tree,
+                     rooted_tree_iso_map, tree_canonical_form, tree_iso_map,
+                     tree_isomorphic, tree_preorder)
 from .product import VertexMap, sierpinski_product
 
 
 def pendant_split_edges(x: Graph, n2: int) -> list[tuple[int, int]]:
-    """All cut edges whose removal leaves components of orders exactly n2
-    and n(x) - n2; computed by one subtree-size DFS on trees."""
-    if not is_connected(x):
-        raise ValueError("pendant_split_edges needs a connected graph")
+    """All edges of the tree x whose removal leaves components of orders
+    exactly n2 and n(x) - n2; computed by one subtree-size pass."""
+    if not is_tree(x):
+        raise ValueError("pendant_split_edges needs a tree")
     n = x.order
     if n2 < 1 or n2 >= n:
         return []
-    if x.size == n - 1:
-        order, parent = tree_preorder(x.adj, 0)
-        size = _subtree_sizes(order, parent)
-        return [(u, v) for u, v in x.edges()
-                if size[v if parent[v] == u else u] in (n2, n - n2)]
-    # an edge on a cycle leaves all n vertices on u's side, never n2 or n - n2
+    parent, size, _ = _rooting(x)
     return [(u, v) for u, v in x.edges()
-            if len(reachable(x, u, (u, v))) in (n2, n - n2)]
-
-
-def _subtree_sizes(order: list[int], parent: list[int]) -> list[int]:
-    """Subtree sizes from a rooted preorder, indexed by vertex."""
-    size = [1] * len(parent)
-    for v in order[:0:-1]:
-        size[parent[v]] += size[v]
-    return size
+            if size[v if parent[v] == u else u] in (n2, n - n2)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +216,10 @@ def _rooting(x: Graph) -> _Rooting:
     kids: list[set[int]] = [set() for _ in range(x.order)]
     for v in order[1:]:
         kids[parent[v]].add(v)
-    return parent, _subtree_sizes(order, parent), kids
+    size = [1] * x.order
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    return parent, size, kids
 
 
 class _PeelState:

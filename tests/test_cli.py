@@ -1,6 +1,10 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from sierpack.cli import main
+from sierpack.families import FAMILIES
 from sierpack.formats import emit_graph_text, parse_graph_text
 from sierpack.graphs import path
 
@@ -28,6 +32,12 @@ def test_product_figure_instance(capsys, tmp_path):
 def test_product_needs_a_map(capsys):
     code = main(["product", "--base", "K3", "--fiber", "K3"])
     assert code == 2
+
+
+def test_product_map_of_wrong_sizes_is_malformed_input(capsys):
+    assert main(["product", "--base", "K4", "--fiber", "K3",
+                 "--map", "3 3: 0 0 0"]) == 2
+    assert "map is 3->3" in capsys.readouterr().err
 
 
 def test_chirho_exact_and_decision(capsys, tmp_path):
@@ -95,6 +105,48 @@ def test_family_construction_with_coloring(capsys, tmp_path):
     data = json.loads(witness.read_text())
     assert data["verified"] is True and data["k"] == 3
     assert data["order"] == 25
+
+
+# `family` outputs recorded before the registry replaced the command's
+# per-family code: every family in both modes, with and without a map of
+# the right sizes (not the default one), plus each min construction given
+# its own default map
+GOLDEN = json.loads(Path(__file__).with_name("family_golden.json").read_text())
+
+# the recorded outputs that change on purpose: the value never needs a map,
+# a coloring is built only in a mode with a construction, and a min
+# construction colors its own default map only
+_MN = {"params": {"m": 3, "n": 4}}
+CHANGED = {
+    "path-path-max": (1, None),
+    "path-path-max-map": (1, None),
+    "path-path-min-map": (1, None),
+    "star-star-min-map": (1, None),
+    "star-star-max": (0, dict(_MN, family="star-star", kind="interval",
+                              lo=5, hi=6, source="star-star-max-interval")),
+    "star-star-min-default-map": (0, dict(
+        _MN, family="star-star", kind="exact", value=3,
+        source="star-star-min", coloring_k=3, coloring_verified=True)),
+    "star-path-max": (0, {"family": "star-path", "params": {"m": 4, "n": 5},
+                          "kind": "upper_bound", "value": 7,
+                          "source": "star-path-max-bound"}),
+    "path-star-max": (0, {"family": "path-star", "params": {"m": 6, "n": 3},
+                          "kind": "upper_bound", "value": 9,
+                          "source": "path-star-max-bound"}),
+}
+
+
+def test_family_golden_covers_every_family():
+    for name in FAMILIES:
+        for case in ("min", "min-map", "max", "max-map"):
+            assert f"{name}-{case}" in GOLDEN
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_family_golden(capsys, case):
+    recorded = GOLDEN[case]
+    want = CHANGED.get(case, (recorded["code"], recorded["payload"]))
+    assert _run(capsys, *recorded["argv"]) == want
 
 
 def test_family_rejects_unknown_params(capsys):

@@ -257,11 +257,10 @@ def test_balls_match_reference_bfs():
     assert seen == {True, False}
 
 
-def test_reachable_without_an_edge():
-    assert sorted(reachable(path(5), 1, (2, 3))) == [0, 1, 2]
-    assert sorted(reachable(path(5), 3, (3, 2))) == [3, 4]
+def test_reachable_in_bfs_order():
+    assert reachable(path(5), 2) == [2, 1, 3, 0, 4]
     cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert sorted(reachable(cycle, 0, (0, 1))) == [0, 1, 2, 3]
+    assert reachable(cycle) == [0, 1, 3, 2]
     assert reachable(Graph.from_edges(3, [(1, 2)])) == [0]
 
 

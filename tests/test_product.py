@@ -282,9 +282,9 @@ def test_screen_never_decides_above_chi_rho(monkeypatch, mode):
     for f in list(enumerate_maps(star(4), star(4), reduce_symmetry=True))[:8]:
         x = sierpinski_product(star(4), star(4), f).graph
         far = chi_rho_exact(x)[0] + 3
-        assert product._may_improve(x, mode, far, None,
-                                    DEFAULT_EXACT_SEARCH_BOUND) \
-            == (mode == "min")
+        assert (product._improvement(x, mode, far, None,
+                                     DEFAULT_EXACT_SEARCH_BOUND)
+                is not None) == (mode == "min")
     for x, k in seen:
         assert k <= chi_rho_exact(x)[0]
 

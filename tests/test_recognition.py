@@ -3,6 +3,8 @@ import sys
 from contextlib import contextmanager
 from itertools import chain
 
+import pytest
+
 from sierpack.families import path_path_min_map
 from sierpack.graphs import (Graph, free_trees, path, random_tree, star,
                              tree_canonical_form, tree_iso_map,
@@ -22,10 +24,13 @@ def test_pendant_split_examples():
 
 
 def test_pendant_split_on_non_tree():
-    # two triangles joined by one bridge
+    # two triangles joined by one bridge: connected, but not a tree
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                              (0, 3)])
-    assert pendant_split_edges(g, 3) == [(0, 3)]
+    with pytest.raises(ValueError):
+        pendant_split_edges(g, 3)
+    with pytest.raises(ValueError):
+        pendant_split_edges(Graph.from_edges(4, [(0, 1), (2, 3)]), 2)
 
 
 def test_recognize_p4():
