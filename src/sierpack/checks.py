@@ -318,8 +318,8 @@ def check_11_recognition(scale: str) -> dict:
     for n in range(4, tree_hi + 1):
         for x in free_trees(n):
             brute = _brute_force_product(x)
-            exh = recognize_tree_product(x, exhaustive=True).status == "factored"
-            if brute != exh:
+            greedy = recognize_tree_product(x).status == "factored"
+            if brute != greedy:
                 mismatches += 1
     ok &= mismatches == 0
 

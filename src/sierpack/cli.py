@@ -17,14 +17,16 @@ import sys
 from typing import Optional
 
 from . import checks
-from .coloring import (chi_rho_decision, chi_rho_exact,
-                       verify_packing_coloring)
+from .coloring import (DEFAULT_SOLVER_BOUND, chi_rho_decision,
+                       chi_rho_exact, verify_packing_coloring)
 from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
                      InputFormatError, SearchBudgetExceeded, SierpackError)
 from .families import FAMILIES
 from .formats import emit_dot, emit_graph_text, sniff_parse
 from .graphs import Graph, complete, path, star
-from .product import VertexMap, sierpinski_chi, sierpinski_product
+from .product import (DEFAULT_ENUM_BOUND, VertexMap, sierpinski_chi,
+                      sierpinski_product)
+from .recognition import recognize_tree_product
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -169,8 +171,12 @@ def _cmd_family(args) -> int:
     for item in (args.params.split(",") if args.params else []):
         key, _, val = item.partition("=")
         params[key.strip()] = _integer(val, f"--params {key.strip()}")
-    vmap = VertexMap.parse(args.map) if args.map else None
     family = FAMILIES[args.name]
+    unknown = sorted(set(params) - set(family.params))
+    if unknown:
+        raise InputFormatError(f"{args.name} takes no --params "
+                               f"{', '.join(unknown)}")
+    vmap = VertexMap.parse(args.map) if args.map else None
     payload = family.value(params, args.mode).to_json_dict()
     built = family.construct(params, args.mode, vmap, args.cyclic)
     if built is not None:
@@ -189,24 +195,16 @@ def _cmd_family(args) -> int:
 
 def _cmd_recognize(args) -> int:
     g = _read_graph(args.graph)
-    out = recognize_tree_product_cli(g, args.exhaustive)
-    _emit(out, args.json)
+    outcome = recognize_tree_product(g)
+    factorizations = [{"n1": fact.base.order, "n2": fact.fiber.order,
+                       "base_edges": emit_graph_text(fact.base),
+                       "fiber_edges": emit_graph_text(fact.fiber),
+                       "map": fact.vmap.to_text()}
+                      for fact in outcome.factorizations]
+    _emit({"status": outcome.status, "order": g.order,
+           "factorizations": factorizations,
+           "diagnostics": outcome.diagnostics}, args.json)
     return EXIT_OK
-
-
-def recognize_tree_product_cli(g: Graph, exhaustive: bool) -> dict:
-    from .recognition import recognize_tree_product
-    outcome = recognize_tree_product(g, exhaustive)
-    factorizations = []
-    for fact in outcome.factorizations:
-        factorizations.append({
-            "n1": fact.base.order, "n2": fact.fiber.order,
-            "base_edges": emit_graph_text(fact.base),
-            "fiber_edges": emit_graph_text(fact.fiber),
-            "map": fact.vmap.to_text()})
-    return {"status": outcome.status, "order": g.order,
-            "factorizations": factorizations,
-            "diagnostics": outcome.diagnostics}
 
 
 def _cmd_verify_paper(args) -> int:
@@ -243,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ask SAT/UNSAT for this many colors instead")
     p.add_argument("--budget", type=int, default=None,
                    help="solver node budget (default unlimited)")
-    p.add_argument("--max-order", type=int, default=40)
+    p.add_argument("--max-order", type=int, default=DEFAULT_SOLVER_BOUND)
     p.add_argument("--json", help="also write the result JSON here")
     p.set_defaults(fn=_cmd_chirho)
 
@@ -254,9 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--reduce", action="store_true",
                    help="enumerate one map per symmetry orbit")
-    p.add_argument("--enum-bound", type=int, default=2_000_000)
+    p.add_argument("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-order", type=int, default=40)
+    p.add_argument("--max-order", type=int, default=DEFAULT_SOLVER_BOUND)
     p.add_argument("--json", help="also write the result JSON here")
     p.set_defaults(fn=_cmd_schirho)
 
@@ -275,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize",
                        help="factor a graph as a product of two trees")
     p.add_argument("graph")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="backtrack over peel edges instead of greedy choice")
     p.add_argument("--json", help="also write the result JSON here")
     p.set_defaults(fn=_cmd_recognize)
 

@@ -672,7 +672,8 @@ FAMILIES: dict[str, Family] = {
         for mode in ("min", "max")}),
     "complete-k2": Family(("m", "m1", "m2"), {  # m1 and m2 are optional
         mode: (lambda p, mode=mode:
-               complete_by_K2_value(p["m"], p["m1"], p["m2"]) if "m1" in p
+               complete_by_K2_value(p["m"], max(p["m1"], p["m2"]),
+                                    min(p["m1"], p["m2"])) if "m1" in p
                else k2_special_value(p["m"], "fiber_K2", mode))
         for mode in ("min", "max")}),
     "k2-complete": Family(("n",), {

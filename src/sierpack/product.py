@@ -152,32 +152,9 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
 # automorphisms and map enumeration
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of g as permutation tuples.
-
-    Complete graphs, paths and stars are special-cased; other graphs use a
-    degree-pruned backtracking search, intended for small factors.
-    """
-    n = g.order
-    m = g.size
-    degs = sorted(g.degree(v) for v in range(n))
-    if m == n * (n - 1) // 2:  # complete
-        return [tuple(p) for p in itertools.permutations(range(n))]
-    if n >= 2 and degs == sorted([1, 1] + [2] * (n - 2)) and _is_path_order(g):
-        ident = tuple(range(n))
-        return [ident, tuple(range(n - 1, -1, -1))]
-    if n >= 3 and g.degree(0) == n - 1 and degs == [1] * (n - 1) + [n - 1]:
-        # star with center 0
-        return [(0,) + p for p in itertools.permutations(range(1, n))]
-    return _automorphisms_backtrack(g)
-
-
-def _is_path_order(g: Graph) -> bool:
-    """True when g is the path 0-1-...-(n-1) in index order."""
-    return all(g.has_edge(i, i + 1) for i in range(g.order - 1)) \
-        and g.size == g.order - 1
-
-
-def _automorphisms_backtrack(g: Graph) -> list[tuple[int, ...]]:
+    """All automorphisms of g as permutation tuples, in lexicographic
+    order, by a degree-pruned backtracking search intended for small
+    factors."""
     n = g.order
     deg = [g.degree(v) for v in range(n)]
     out: list[tuple[int, ...]] = []

@@ -18,26 +18,43 @@ certified isomorphic to the input before a factorization is returned, so a
 "factored" answer is sound unconditionally.
 
 The peel edge at each step is taken greedily in a fixed deterministic order
-(least lower endpoint, then least higher endpoint) by default;
-exhaustive=True backtracks over every candidate before rejecting a split.
+(least lower endpoint, then least higher endpoint), and greedy peeling is
+complete: it factors every split (n1, n2) for which the input is a product.
+Proof sketch, for x = T1 ⊗_f T2 with |T1| = n1 and |T2| = n2.  Cutting an
+edge inside the fiber gT2 splits that fiber into parts P and Q; the side
+holding P is P together with whole fibers hanging off it, of order
+|P| + n2·k with 0 < |P| < n2, so neither side's order is a multiple of n2.
+Hence every candidate is a connecting edge, and cutting the connecting edge
+of the base edge gg' leaves the fibers of the two components of T1 - gg'.
+One side has order n2 exactly when g or g' is a leaf of T1, and then that
+side is the leaf's whole fiber (when n1 = 2 both sides are, and either
+orientation is one).  What is left is (T1 - leaf) ⊗ T2 under f restricted,
+again a product, and a base tree of order at least 2 has a leaf.  So by
+induction every candidate the greedy order picks peels a whole fiber, every
+peeled component is a copy of T2, and the base edges of the trace are the
+edges of T1.  reconstruct_map then succeeds as argued above and the rebuilt
+product is isomorphic to x, so the split is certified whichever candidate
+was taken.  A backtracking search over the candidates would make the same
+first choice at every step and so follow greedy's path exactly on a
+product; on a split for which x is not a product, every completed trace
+fails the final certification.  Trying other candidates can therefore
+never change an answer.
 
 A split never re-walks the whole input.  The input is rooted once, and each
 split's peel state (_PeelState) keeps subtree sizes valid by subtracting
 the fiber's order along the peeled edge's path to the root, or by moving
-the root when the root side is peeled.  Candidates come from a lazily
+the root when the root side is peeled.  The candidate comes from a lazily
 pruned heap of the subtrees of order n2 and one walk down the heavy path
 from the root; the peeled side is listed by a walk over its own vertices;
 and each peeled component is labelled once and compared with the AHU
 labels of the first fiber, computed once per split.  A peel thus costs
-O(n2 + depth) up to log factors, and exhaustive mode backtracks by undoing
-peels on the same state.
+O(n2 + depth) up to log factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from typing import Optional
 
 from .errors import InconsistentTraceError
@@ -171,7 +188,7 @@ class RecognitionOutcome:
     diagnostics: dict[str, str]
 
 
-def recognize_tree_product(x: Graph, exhaustive: bool = False) -> RecognitionOutcome:
+def recognize_tree_product(x: Graph) -> RecognitionOutcome:
     """Decide whether x is the product of two trees on >= 2 vertices each,
     returning one certified factorization per distinct (base, fiber) shape.
 
@@ -193,7 +210,7 @@ def recognize_tree_product(x: Graph, exhaustive: bool = False) -> RecognitionOut
     seen_shapes: set[tuple[str, str]] = set()
     rooting = _rooting(x)
     for n1, n2 in splits:
-        fact, reason = _try_split(x, n1, n2, exhaustive, rooting)
+        fact, reason = _try_split(x, n1, n2, rooting)
         if fact is None:
             diagnostics[f"{n1}x{n2}"] = reason
             continue
@@ -236,7 +253,7 @@ class _PeelState:
     the subtree of c = far (the root side).  Peeling the child side
     subtracts n2 along the path from far up to the root; peeling the root
     side makes far the root and changes no size.  Either costs
-    O(n2 + depth), and ``undo`` reverts the last peel.
+    O(n2 + depth).
     """
 
     def __init__(self, rooting: _Rooting, n2: int):
@@ -247,7 +264,6 @@ class _PeelState:
         self.root = 0
         self.total = len(size)
         self.peeled = bytearray(self.total)  # 1 marks a peeled vertex
-        self.log: list[tuple[int, int, list[int], int]] = []
         # (lower endpoint, higher endpoint, c) for the edges (c, parent[c])
         # whose subtree side has order n2; a superset of them, pruned lazily
         self.heap = [self._entry(c) for c in range(1, self.total)
@@ -309,9 +325,9 @@ class _PeelState:
             path.add(v)
         return path
 
-    def least(self) -> list[tuple[int, int]]:
-        """The candidate with the least (lower, higher) endpoint pair, as a
-        list of at most one."""
+    def least(self) -> Optional[tuple[int, int]]:
+        """The candidate with the least (lower, higher) endpoint pair, or
+        None when there is none."""
         heap = self.heap
         while heap and not self._valid(heap[0][2]):
             heappop(heap)
@@ -319,20 +335,8 @@ class _PeelState:
         c = self._heavy()
         if c is not None and (best is None or self._entry(c) < best):
             best = self._entry(c)
-        return [] if best is None else [self._oriented(best[2],
-                                                       self._low_path())]
-
-    def candidates(self) -> list[tuple[int, int]]:
-        """Every candidate, ordered by its (lower, higher) endpoint pair;
-        the heap is rebuilt from the valid entries on the way."""
-        self.heap = sorted({e for e in self.heap if self._valid(e[2])})
-        entries = list(self.heap)
-        c = self._heavy()
-        if c is not None:
-            entries.append(self._entry(c))
-            entries.sort()
-        low = self._low_path()
-        return [self._oriented(e[2], low) for e in entries]
+        return None if best is None else self._oriented(best[2],
+                                                         self._low_path())
 
     def side(self, near: int, far: int) -> list[int]:
         """The vertices on near's side of the candidate edge, by a walk
@@ -363,7 +367,6 @@ class _PeelState:
 
     def peel(self, near: int, far: int, side: list[int]) -> None:
         """Remove ``side``, the vertices on near's side of (near, far)."""
-        self.log.append((near, far, side, self.root))
         for v in side:
             self.peeled[v] = 1
         self.total -= self.n2
@@ -372,19 +375,6 @@ class _PeelState:
             self._add_up(far, -self.n2)
         else:
             self.root = far
-
-    def undo(self) -> None:
-        """Put back the fiber removed by the last peel."""
-        near, far, side, self.root = self.log.pop()
-        for v in side:
-            self.peeled[v] = 0
-        self.total += self.n2
-        if self.parent[near] == far:
-            self.kids[far].add(near)
-            self._add_up(far, self.n2)
-        for v in chain(side, (far,)):
-            if self._valid(v):
-                heappush(self.heap, self._entry(v))
 
 
 def _fiber_labels(x: Graph, comp: tuple[int, ...], table: dict,
@@ -398,66 +388,42 @@ def _fiber_labels(x: Graph, comp: tuple[int, ...], table: dict,
     return [_ahu_labels(adj, c, table)[0][c] for c in _centers(adj)[:centers]]
 
 
-def _peel(x: Graph, n2: int, exhaustive: bool, rooting: _Rooting
+def _peel(x: Graph, n2: int, rooting: _Rooting
           ) -> tuple[Optional[PeelTrace], str]:
-    """Peel fibers of order n2 off x until n2 vertices remain.
-
-    Greedy mode takes the first candidate at every step and keeps nothing
-    to go back to.  Exhaustive mode keeps, for every peel on the current
-    path, the candidates not yet tried, and backtracks through them in
-    depth-first order, undoing peels on the one peel state.  Each peeled
-    component is labelled once and checked against the labels of the
-    first fiber at its centers.  Returns the trace, or None and the last
-    reason a branch failed.
+    """Peel fibers of order n2 off x until n2 vertices remain, taking the
+    least candidate at every step (complete, by the argument in the module
+    docstring).  Each peeled component is labelled once and checked against
+    the labels of the first fiber at its centers.  Returns the trace, or
+    None and the reason the peel stopped.
     """
     state = _PeelState(rooting, n2)
     table: dict = {}
     steps: list[PeelStep] = []
-    frames = []  # (reference, untried candidates) per peel on the path
     reference: Optional[list[int]] = None  # labels of the first fiber
-    while True:
-        if state.total == n2:
-            final = tuple(v for v in range(x.order) if not state.peeled[v])
-            if reference is None or _fiber_labels(x, final, table, 1)[0] \
-                    in reference:
-                return PeelTrace(x, tuple(steps), final), "ok"
-            reason = "last remaining component does not match the fiber"
-            found = []
-        else:
-            found = state.candidates() if exhaustive else state.least()
-            if not found:
-                reason = (f"after {len(steps)} peels no pendant split edge "
+    while state.total > n2:
+        cand = state.least()
+        if cand is None:
+            return None, (f"after {len(steps)} peels no pendant split edge "
                           f"isolates a component of order {n2}")
-        cands = iter(found)
-        while True:
-            cand = next(cands, None)
-            if cand is None:
-                if not frames:
-                    return None, reason
-                reference, cands = frames.pop()
-                steps.pop()
-                state.undo()
-                continue
-            side = state.side(*cand)
-            comp = tuple(sorted(side))
-            if reference is not None and \
-                    _fiber_labels(x, comp, table, 1)[0] not in reference:
-                reason = (f"peeled component at step {len(steps)} is not "
+        side = state.side(*cand)
+        comp = tuple(sorted(side))
+        if reference is None:
+            reference = _fiber_labels(x, comp, table)
+        elif _fiber_labels(x, comp, table, 1)[0] not in reference:
+            return None, (f"peeled component at step {len(steps)} is not "
                           "isomorphic to the first fiber")
-                continue
-            if exhaustive:
-                frames.append((reference, cands))
-            steps.append(PeelStep(len(steps), cand, comp))
-            state.peel(*cand, side)
-            if reference is None:
-                reference = _fiber_labels(x, comp, table)
-            break
+        steps.append(PeelStep(len(steps), cand, comp))
+        state.peel(*cand, side)
+    final = tuple(v for v in range(x.order) if not state.peeled[v])
+    if _fiber_labels(x, final, table, 1)[0] not in reference:
+        return None, "last remaining component does not match the fiber"
+    return PeelTrace(x, tuple(steps), final), "ok"
 
 
-def _try_split(x: Graph, n1: int, n2: int, exhaustive: bool,
-               rooting: _Rooting) -> tuple[Optional[Factorization], str]:
+def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
+               ) -> tuple[Optional[Factorization], str]:
     """Peel n1 - 1 fibers of order n2 off x, then rebuild and certify."""
-    trace, reason = _peel(x, n2, exhaustive, rooting)
+    trace, reason = _peel(x, n2, rooting)
     if trace is None:
         return None, reason
     base = Graph.from_edges(n1, trace.base_edges())

@@ -153,6 +153,23 @@ def test_family_rejects_unknown_params(capsys):
     assert main(["family", "corona", "--params", "n=3,p=1"]) == 1
 
 
+def test_family_unknown_param_key_is_malformed_input(capsys):
+    argvs = (["family", "corona", "--params", "n=5,p=2,q=9", "--mode", "max"],
+             ["family", "complete-k2", "--params", "m=4,m_1=3"])
+    for argv in argvs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no --params" in captured.err
+
+
+def test_family_complete_k2_split_in_either_order(capsys):
+    for split in ("m1=1,m2=3", "m1=3,m2=1"):
+        code, payload = _run(capsys, "family", "complete-k2",
+                             "--params", f"m=4,{split}")
+        assert code == 0 and payload["value"] == 5
+        assert payload["params"] == {"m": 4, "m1": 3, "m2": 1}
+
+
 def test_family_missing_param_is_malformed_input(capsys):
     assert main(["family", "corona", "--params", "n=3"]) == 2
     assert "lacks p" in capsys.readouterr().err
@@ -183,7 +200,7 @@ def test_recognize_cli(capsys, tmp_path):
     prod = sierpinski_product(path(3), star(3), VertexMap.constant(3, 4, 2))
     gfile = tmp_path / "prod.txt"
     gfile.write_text(emit_graph_text(prod.graph))
-    code, payload = _run(capsys, "recognize", str(gfile), "--exhaustive")
+    code, payload = _run(capsys, "recognize", str(gfile))
     assert code == 0 and payload["status"] == "factored"
     fact = payload["factorizations"][0]
     assert fact["n1"] * fact["n2"] == 12
@@ -194,6 +211,14 @@ def test_recognize_cli(capsys, tmp_path):
     code, payload = _run(capsys, "recognize", str(gfile2))
     assert code == 0 and payload["status"] == "not_a_product"
     assert payload["diagnostics"]
+
+
+def test_recognize_has_one_mode(tmp_path):
+    gfile = tmp_path / "p4.txt"
+    gfile.write_text(emit_graph_text(path(4)))
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", str(gfile), "--exhaustive"])
+    assert exc.value.code == 2
 
 
 def test_verify_paper_desk(capsys, tmp_path):
@@ -241,8 +266,8 @@ def test_commands_are_deterministic(capsys, tmp_path):
     _, first = _run(capsys, "chirho", str(gfile))
     _, second = _run(capsys, "chirho", str(gfile))
     assert first == second
-    _, r1 = _run(capsys, "recognize", str(gfile), "--exhaustive")
-    _, r2 = _run(capsys, "recognize", str(gfile), "--exhaustive")
+    _, r1 = _run(capsys, "recognize", str(gfile))
+    _, r2 = _run(capsys, "recognize", str(gfile))
     assert r1 == r2
 
 

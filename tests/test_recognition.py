@@ -1,7 +1,6 @@
 import random
 import sys
 from contextlib import contextmanager
-from itertools import chain
 
 import pytest
 
@@ -83,27 +82,38 @@ def test_reconstruct_map_roundtrips():
 
 
 def test_pendant_connecting_edge_characterization():
-    # an edge of a tree product is a pendant connecting edge exactly when
-    # it splits off a component of the fiber's order that is one whole fiber
+    # the completeness lemma: in a product in any vertex order, the edges
+    # with a side of the fiber's order are exactly the connecting edges of
+    # the base tree's pendant edges, each such side is a leaf's whole fiber
+    # (both sides when n1 = 2), and greedy peeling only ever peels fibers
     rng = random.Random(42)
     for _ in range(100):
         n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
         t1, t2 = random_tree(n1, rng), random_tree(n2, rng)
         f = VertexMap(n1, n2, tuple(rng.randrange(n2) for _ in range(n1)))
         prod = sierpinski_product(t1, t2, f)
-        pendant_tagged = set()
-        for edge, (g1, g2) in prod.connecting:
-            if t1.degree(g1) == 1 or t1.degree(g2) == 1:
-                pendant_tagged.add(edge)
-        split = set(pendant_split_edges(prod.graph, n2))
-        fibers = [frozenset(prod.vertex_of(g, h) for h in range(n2))
+        perm = list(range(prod.graph.order))
+        rng.shuffle(perm)
+        x = prod.graph.relabel(perm)
+        fibers = [frozenset(perm[prod.vertex_of(g, h)] for h in range(n2))
                   for g in range(n1)]
-        confirmed = set()
-        for u, v in split:
-            for side in _components_minus_edge(prod.graph, (u, v)):
-                if frozenset(side) in fibers:
-                    confirmed.add((u, v))
-        assert pendant_tagged == confirmed == split
+        leaf_fibers = {fibers[g] for g in range(n1) if t1.degree(g) == 1}
+        expected = {frozenset((perm[u], perm[v]))
+                    for (u, v), (g1, g2) in prod.connecting
+                    if t1.degree(g1) == 1 or t1.degree(g2) == 1}
+        split = pendant_split_edges(x, n2)
+        assert {frozenset(e) for e in split} == expected
+        for edge in split:
+            sides = [frozenset(c) for c in _components_minus_edge(x, edge)
+                     if len(c) == n2]
+            assert len(sides) == (2 if n1 == 2 else 1)
+            assert all(side in leaf_fibers for side in sides)
+        state = _PeelState(_rooting(x), n2)
+        while state.total > n2:
+            edge = state.least()
+            side = state.side(*edge)
+            assert frozenset(side) in fibers
+            state.peel(*edge, side)
 
 
 def _components_minus_edge(g, edge):
@@ -149,15 +159,12 @@ def test_completeness_small_trees():
                         break
                 if brute:
                     break
-            exhaustive = recognize_tree_product(x, exhaustive=True)
-            greedy = recognize_tree_product(x)
-            assert (exhaustive.status == "factored") == brute
-            assert greedy.status == exhaustive.status
+            assert (recognize_tree_product(x).status == "factored") == brute
 
 
 def test_factorizations_deduplicated_by_shape():
     prod = sierpinski_product(path(2), path(4), VertexMap.constant(2, 4, 0))
-    out = recognize_tree_product(prod.graph, exhaustive=True)
+    out = recognize_tree_product(prod.graph)
     shapes = [(tree_canonical_form(f.base), tree_canonical_form(f.fiber))
               for f in out.factorizations]
     assert len(shapes) == len(set(shapes))
@@ -302,16 +309,18 @@ def test_split_candidates_match_eager_oracle():
         x = x.relabel(perm)
         remaining = frozenset(range(x.order))
         state = _PeelState(_rooting(x), n2)
-        # walk one random peel path, comparing the candidates at every step
+        # walk one random peel path, comparing the least candidate and its
+        # side at every step
         while len(remaining) > n2:
-            new = [(edge, frozenset(state.side(*edge)))
-                   for edge in state.candidates()]
-            assert new == _old_split_candidates(x, remaining, n2)
-            assert state.least() == [edge for edge, _ in new[:1]]
+            old = _old_split_candidates(x, remaining, n2)
+            edge = state.least()
+            new = [] if edge is None else \
+                [(edge, frozenset(state.side(*edge)))]
+            assert new == old[:1]
             compared += 1
-            if not new:
+            if not old:
                 break
-            edge, side = new[rng.randrange(len(new))]
+            edge, side = old[rng.randrange(len(old))]
             remaining = remaining - side
             state.peel(*edge, list(side))
     assert compared > 100
@@ -331,43 +340,6 @@ def _random_inputs(rng, count):
         perm = list(range(x.order))
         rng.shuffle(perm)
         yield x.relabel(perm)
-
-
-def _snapshot(state):
-    live = [v for v in range(len(state.size)) if not state.peeled[v]]
-    return (state.root, state.total, bytes(state.peeled),
-            [state.size[v] for v in live], [set(state.kids[v]) for v in live],
-            state.candidates())
-
-
-def test_peel_then_undo_restores_the_state():
-    rng = random.Random(48)
-    undone = 0
-    for x in _random_inputs(rng, 60):
-        for n2 in range(2, x.order // 2 + 1):
-            if x.order % n2:
-                continue
-            state = _PeelState(_rooting(x), n2)
-            start = _snapshot(state)
-            depth = 0
-            while state.total > n2:
-                before = _snapshot(state)
-                cands = before[-1]
-                if not cands:
-                    break
-                edge = cands[rng.randrange(len(cands))]
-                state.peel(*edge, state.side(*edge))
-                state.undo()
-                assert _snapshot(state) == before
-                assert state.least() == cands[:1]
-                undone += 1
-                edge = cands[rng.randrange(len(cands))]
-                state.peel(*edge, state.side(*edge))
-                depth += 1
-            for _ in range(depth):
-                state.undo()
-            assert _snapshot(state) == start
-    assert undone > 200
 
 
 # the per-peel rebuild the peel state replaced, kept as its oracle
@@ -392,52 +364,30 @@ def _rebuilt_candidates(x, peeled, n2):
             yield (parent[child], child), order[:lo] + order[lo + k:]
 
 
-def _rebuilt_peel(x, n2, exhaustive):
-    reason = None
+def _rebuilt_peel(x, n2):
     steps = []
-    frames = []
     peeled = bytearray(x.order)
     reference = None
-    while True:
-        if x.order - n2 * len(steps) == n2:
-            final = tuple(v for v in range(x.order) if not peeled[v])
-            if reference is None or tree_isomorphic(x.induced(final),
-                                                    reference):
-                return PeelTrace(x, tuple(steps), final), "ok"
-            reason = "last remaining component does not match the fiber"
-            cands = iter(())
-        else:
-            cands = _rebuilt_candidates(x, peeled, n2)
-            first = next(cands, None)
-            if first is None:
-                reason = (f"after {len(steps)} peels no pendant split edge "
+    while x.order - n2 * len(steps) > n2:
+        cand = next(_rebuilt_candidates(x, peeled, n2), None)
+        if cand is None:
+            return None, (f"after {len(steps)} peels no pendant split edge "
                           f"isolates a component of order {n2}")
-            else:
-                cands = chain((first,), cands if exhaustive else ())
-        while True:
-            cand = next(cands, None)
-            if cand is None:
-                if not frames:
-                    return None, reason
-                reference, cands = frames.pop()
-                for v in steps.pop().component:
-                    peeled[v] = 0
-                continue
-            (near, far), side = cand
-            comp = tuple(sorted(side))
-            sub = x.induced(comp)
-            if reference is not None and not tree_isomorphic(sub, reference):
-                reason = (f"peeled component at step {len(steps)} is not "
+        (near, far), side = cand
+        comp = tuple(sorted(side))
+        sub = x.induced(comp)
+        if reference is None:
+            reference = sub
+        elif not tree_isomorphic(sub, reference):
+            return None, (f"peeled component at step {len(steps)} is not "
                           "isomorphic to the first fiber")
-                continue
-            if exhaustive:
-                frames.append((reference, cands))
-            steps.append(PeelStep(len(steps), (near, far), comp))
-            for v in comp:
-                peeled[v] = 1
-            if reference is None:
-                reference = sub
-            break
+        steps.append(PeelStep(len(steps), (near, far), comp))
+        for v in comp:
+            peeled[v] = 1
+    final = tuple(v for v in range(x.order) if not peeled[v])
+    if not tree_isomorphic(x.induced(final), reference):
+        return None, "last remaining component does not match the fiber"
+    return PeelTrace(x, tuple(steps), final), "ok"
 
 
 def test_peel_matches_per_peel_rebuild():
@@ -448,8 +398,6 @@ def test_peel_matches_per_peel_rebuild():
         for n2 in range(2, x.order // 2 + 1):
             if x.order % n2:
                 continue
-            for exhaustive in (False, True) if x.order <= 16 else (False,):
-                got = _peel(x, n2, exhaustive, rooting)
-                assert got == _rebuilt_peel(x, n2, exhaustive)
-                splits += 1
+            assert _peel(x, n2, rooting) == _rebuilt_peel(x, n2)
+            splits += 1
     assert splits > 400
