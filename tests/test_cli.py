@@ -285,3 +285,51 @@ def test_missing_graph_file_is_malformed_input(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "cannot read graph" in proc.stderr
+
+
+# recognize inputs whose JSON is pinned in recognize_golden.json: status,
+# order and factorizations must match exactly, diagnostics by key only (the
+# text of a failed split's reason may change)
+
+def _recognize_inputs():
+    import random
+    from sierpack.families import path_path_min_map
+    from sierpack.graphs import random_tree, star
+    from sierpack.product import VertexMap, sierpinski_product
+
+    def shuffled(g, seed):
+        perm = list(range(g.order))
+        random.Random(seed).shuffle(perm)
+        return g.relabel(perm)
+
+    rng = random.Random(11)
+    t8, t9 = random_tree(8, rng), random_tree(9, rng)
+    f = VertexMap(8, 9, tuple(rng.randrange(9) for _ in range(8)))
+    return {
+        "P12xP16": sierpinski_product(path(12), path(16),
+                                      path_path_min_map(12, 16)[0]).graph,
+        "S3xP4": sierpinski_product(star(3), path(4),
+                                    VertexMap(4, 4, (1, 0, 3, 2))).graph,
+        "T36": random_tree(36, random.Random(36)),
+        "T60": random_tree(60, random.Random(60)),
+        "T8xT9-shuffled": shuffled(sierpinski_product(t8, t9, f).graph, 12),
+        "P40xP50-relabelled": shuffled(sierpinski_product(
+            path(40), path(50), path_path_min_map(40, 50)[0]).graph, 46),
+    }
+
+
+RECOGNIZE_GOLDEN = json.loads(
+    Path(__file__).with_name("recognize_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(RECOGNIZE_GOLDEN))
+def test_recognize_golden(capsys, tmp_path, case):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(emit_graph_text(_recognize_inputs()[case]))
+    code, payload = _run(capsys, "recognize", str(gfile))
+    recorded = RECOGNIZE_GOLDEN[case]
+    assert code == recorded["code"]
+    for key in ("status", "order", "factorizations"):
+        assert payload[key] == recorded["payload"][key]
+    assert sorted(payload["diagnostics"]) == \
+        sorted(recorded["payload"]["diagnostics"])
