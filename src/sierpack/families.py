@@ -670,10 +670,11 @@ FAMILIES: dict[str, Family] = {
     "complete-complete": Family(("m", "n"), {
         mode: (lambda p, mode=mode: complete_pair_value(p["m"], p["n"], mode))
         for mode in ("min", "max")}),
-    "complete-k2": Family(("m", "m1", "m2"), {  # m1 and m2 are optional
+    "complete-k2": Family(("m", "m1", "m2"), {  # m1 and m2 come together
         mode: (lambda p, mode=mode:
                complete_by_K2_value(p["m"], max(p["m1"], p["m2"]),
-                                    min(p["m1"], p["m2"])) if "m1" in p
+                                    min(p["m1"], p["m2"]))
+               if "m1" in p or "m2" in p
                else k2_special_value(p["m"], "fiber_K2", mode))
         for mode in ("min", "max")}),
     "k2-complete": Family(("n",), {

@@ -328,7 +328,8 @@ def tree_centers(g: Graph) -> list[int]:
 
 
 def _centers(adj) -> list[int]:
-    """tree_centers on an adjacency list already known to be a tree."""
+    """tree_centers on an adjacency list already known to be a tree.  On
+    any other graph it stops once no leaf is left."""
     n = len(adj)
     if n <= 2:
         return list(range(n))
@@ -336,7 +337,7 @@ def _centers(adj) -> list[int]:
     removed = [False] * n
     leaves = [v for v in range(n) if deg[v] == 1]
     remaining = n
-    while remaining > 2:
+    while remaining > 2 and leaves:
         remaining -= len(leaves)
         nxt = []
         for v in leaves:
@@ -386,19 +387,58 @@ def _rooted_canon(g: Graph, root: int) -> str:
     return code[root]
 
 
-def _ahu_labels(adj, root: int, table: dict) -> tuple[list[int], list[int]]:
-    """Integer AHU labels of the tree with adjacency lists ``adj`` rooted
-    at root (Aho, Hopcroft and Ullman 1974), with the parent array of that
-    rooting.  Two subtrees, of this tree or of any other labelled with the
-    same ``table``, get equal labels exactly when they are isomorphic as
-    rooted trees, that is exactly when their ``_rooted_canon`` strings are
-    equal."""
-    order, parent = tree_preorder(adj, root)
-    label = [0] * len(adj)
+# a rooted tree's AHU labels and, per vertex, its children sorted by
+# (label, vertex)
+Labelled = tuple[dict[int, int], dict[int, list[int]]]
+
+
+def _ahu_labels(adj, root: int, table: dict, owner, i: int) -> Labelled:
+    """Integer AHU labels (Aho, Hopcroft and Ullman 1974) of the tree on
+    the vertices v with ``owner[v] == i`` reached from root, rooted there
+    (a BFS tree of them, should they hold a cycle).  Two rooted trees, of
+    this graph or of any other labelled with the same ``table``, get equal
+    root labels exactly when they are isomorphic, that is exactly when
+    their ``_rooted_canon`` strings are equal.  ``owner = bytes(n)`` with
+    i = 0 labels a whole tree."""
+    kids: dict[int, list[int]] = {root: []}
+    order = [root]
+    for v in order:
+        ch = kids[v]
+        for w in adj[v]:
+            if w not in kids and owner[w] == i:
+                kids[w] = []
+                ch.append(w)
+        order += ch
+    leaf = table.setdefault((), len(table))
+    label: dict[int, int] = {}
     for v in reversed(order):
-        key = tuple(sorted(label[w] for w in adj[v] if parent[w] == v))
-        label[v] = table.setdefault(key, len(table))
-    return label, parent
+        ch = kids[v]
+        if ch:
+            # adjacency lists are sorted, so a stable sort by label leaves
+            # children with equal labels in vertex order
+            ch.sort(key=label.__getitem__)
+            label[v] = table.setdefault(tuple([label[w] for w in ch]),
+                                        len(table))
+        else:
+            label[v] = leaf
+    return label, kids
+
+
+def _pair_rooted(t1: Labelled, r1: int, t2: Labelled, r2: int,
+                 img) -> bool:
+    """Write into ``img`` the rooted isomorphism (t1, r1) -> (t2, r2) read
+    off AHU labels from one table; False, writing nothing, when the roots'
+    labels differ.  Children with equal labels are paired in vertex order,
+    which is valid because equal labels are interchangeable."""
+    if t1[0][r1] != t2[0][r2]:
+        return False
+    kids1, kids2 = t1[1], t2[1]
+    stack = [(r1, r2)]
+    while stack:
+        a, b = stack.pop()
+        img[a] = b
+        stack.extend(zip(kids1[a], kids2[b]))
+    return True
 
 
 def tree_canonical_form(g: Graph) -> str:
@@ -415,37 +455,10 @@ def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
             t2.degree(v) for v in range(t2.order)):
         return False
     table: dict = {}
-    forms = [min(_ahu_labels(t.adj, c, table)[0][c] for c in cs)
+    forms = [min(_ahu_labels(t.adj, c, table, bytes(t.order), 0)[0][c]
+                 for c in cs)
              for t, cs in zip((t1, t2), centers)]
     return forms[0] == forms[1]
-
-
-def _pair_rooted(t1: Graph, r1: int, lab1, t2: Graph, r2: int, lab2
-                 ) -> Optional[dict[int, int]]:
-    """The rooted isomorphism (t1, r1) -> (t2, r2) read off AHU labels from
-    one table, ``lab = (label, parent)``, or None when the roots' labels
-    differ.  Children with equal labels are paired in vertex order, which
-    is valid because equal labels are interchangeable."""
-    (l1, p1), (l2, p2) = lab1, lab2
-    if l1[r1] != l2[r2]:
-        return None
-    mapping: dict[int, int] = {}
-    stack = [(r1, r2)]
-    while stack:
-        v1, v2 = stack.pop()
-        mapping[v1] = v2
-        c1 = sorted((l1[c], c) for c in t1.adj[v1] if p1[c] == v1)
-        c2 = sorted((l2[c], c) for c in t2.adj[v2] if p2[c] == v2)
-        stack.extend((a, b) for (_, a), (_, b) in zip(c1, c2))
-    return mapping
-
-
-def rooted_tree_iso_map(t1: Graph, r1: int, t2: Graph, r2: int) -> Optional[dict[int, int]]:
-    """An isomorphism of rooted trees (t1, r1) -> (t2, r2) as a vertex map,
-    or None if none exists.  Each tree is labelled once."""
-    table: dict = {}
-    return _pair_rooted(t1, r1, _ahu_labels(t1.adj, r1, table),
-                        t2, r2, _ahu_labels(t2.adj, r2, table))
 
 
 def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
@@ -455,12 +468,12 @@ def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
     if t1.order != t2.order or len(c1) != len(c2):
         return None
     table: dict = {}
-    lab1 = _ahu_labels(t1.adj, c1[0], table)
+    lab1 = _ahu_labels(t1.adj, c1[0], table, bytes(t1.order), 0)
+    img = [-1] * t1.order
     for r2 in c2:
-        m = _pair_rooted(t1, c1[0], lab1,
-                         t2, r2, _ahu_labels(t2.adj, r2, table))
-        if m is not None:
-            return m
+        lab2 = _ahu_labels(t2.adj, r2, table, bytes(t2.order), 0)
+        if _pair_rooted(lab1, c1[0], lab2, r2, img):
+            return dict(enumerate(img))
     return None
 
 

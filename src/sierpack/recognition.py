@@ -1,54 +1,55 @@
 """Recognition of products whose two factors are trees.
 
-A product of two trees is a tree, and the connecting edge of a pendant base
-edge is exactly a cut edge splitting off one whole fiber: one component has
-the fiber's order and the other keeps the rest.  Recognition therefore
-peels candidate fibers off the input one pendant split at a time, checks
-each peeled component against the first one, and finally rebuilds the base
-tree and the connecting function from the recorded peel edges.
-
-Map reconstruction works backwards through the peel record.  Each fiber
-gets an isomorphism onto the reference fiber H; the far endpoint of a peel
-edge pins the peeled base vertex's map value, and the near endpoint pins
-the neighbor's value.  When the neighbor's value is already fixed, the
-peeled fiber's isomorphism is chosen to respect it (a rooted-tree
-isomorphism sending the near endpoint to the fixed value); such a choice
-always exists when the input really is a product.  The rebuilt product is
-certified isomorphic to the input before a factorization is returned, so a
-"factored" answer is sound unconditionally.
-
-The peel edge at each step is taken greedily in a fixed deterministic order
-(least lower endpoint, then least higher endpoint), and greedy peeling is
-complete: it factors every split (n1, n2) for which the input is a product.
-Proof sketch, for x = T1 ⊗_f T2 with |T1| = n1 and |T2| = n2.  Cutting an
-edge inside the fiber gT2 splits that fiber into parts P and Q; the side
-holding P is P together with whole fibers hanging off it, of order
+The residue lemma.  Let x = T1 ⊗_f T2 with |T1| = n1 and |T2| = n2.
+Cutting an edge inside the fiber gT2 splits that fiber into parts P and Q;
+the side holding P is P together with whole fibers hanging off it, of order
 |P| + n2·k with 0 < |P| < n2, so neither side's order is a multiple of n2.
-Hence every candidate is a connecting edge, and cutting the connecting edge
-of the base edge gg' leaves the fibers of the two components of T1 - gg'.
-One side has order n2 exactly when g or g' is a leaf of T1, and then that
-side is the leaf's whole fiber (when n1 = 2 both sides are, and either
-orientation is one).  What is left is (T1 - leaf) ⊗ T2 under f restricted,
-again a product, and a base tree of order at least 2 has a leaf.  So by
-induction every candidate the greedy order picks peels a whole fiber, every
-peeled component is a copy of T2, and the base edges of the trace are the
-edges of T1.  reconstruct_map then succeeds as argued above and the rebuilt
-product is isomorphic to x, so the split is certified whichever candidate
-was taken.  A backtracking search over the candidates would make the same
-first choice at every step and so follow greedy's path exactly on a
-product; on a split for which x is not a product, every completed trace
-fails the final certification.  Trying other candidates can therefore
-never change an answer.
+Cutting a connecting edge leaves whole fibers on both sides.  So the
+connecting edges of x are exactly the edges with a side of order ≡ 0
+(mod n2): they are fixed by x and n2 alone, and cutting them leaves the
+fibers.  Rooted once, x gives this cut for every split as the edges
+(v, parent[v]) with size[v] % n2 == 0.  A split (n1, n2) goes on only when
+there are n1 - 1 of them, which the counts of subtree sizes tell in O(n1);
+each of the n1 components left then has order ≡ 0 (mod n2), so all have
+order exactly n2.  Contracting the components gives the quotient tree, the
+candidate base.
 
-A split never re-walks the whole input.  The input is rooted once, and each
-split's peel state (_PeelState) keeps subtree sizes valid by subtracting
-the fiber's order along the peeled edge's path to the root, or by moving
-the root when the root side is peeled.  The candidate comes from a lazily
-pruned heap of the subtrees of order n2 and one walk down the heavy path
-from the root; the peeled side is listed by a walk over its own vertices;
-and each peeled component is labelled once and compared with the AHU
-labels of the first fiber, computed once per split.  A peel thus costs
-O(n2 + depth) up to log factors.
+Peel order.  The base is numbered in the order in which earlier versions
+peeled fibers greedily: at each step they cut the least edge (lower
+endpoint, then higher endpoint) with a side of order n2 in what was left,
+and peeled that side; when both sides had order n2, the side without the
+lowest vertex left.  In a union of components, an edge inside a component
+keeps a side of order ≢ 0 (mod n2), and a cut edge has a side of order n2
+exactly when that side is a leaf of the quotient.  So that order is
+replayed on the quotient tree with a heap of its leaves keyed by their
+connecting edge, and the trace, the base numbering, the fiber (the first
+peeled component) and the map are the ones the peel gave.
+
+Map reconstruction works backwards through the peel record.  Each
+component gets an isomorphism φ onto the fiber H; the far endpoint of a
+peel edge pins the peeled base vertex's map value, and the near endpoint
+pins the neighbor's value.  When the neighbor's value is already fixed,
+the peeled component's isomorphism is chosen to respect it (a rooted
+isomorphism sending the near endpoint to the fixed value).  The result is
+certified explicitly: ψ(v) = owner(v)·n2 + φ_owner(v)(v) must be a
+bijection onto the vertices of G ⊗_f H sending every edge of x to an edge
+of it, and x must have as many edges as the product.  So a "factored"
+answer is sound unconditionally.
+
+Completeness.  If x is a product with fiber order n2, the cut gives its
+fibers and the quotient is T1.  Every component with its near endpoint,
+rooted there, is a copy of T2 rooted at f of the neighbor, and the value
+fixed for that neighbor came from a sibling copy rooted the same way, so
+every rooted isomorphism asked for exists and ψ is an isomorphism.  On a
+split for which x is not a product no ψ certifies, whatever was chosen.
+
+Cost.  One rooting per input.  A split costs O(n1) when it is rejected by
+the size counts, and otherwise O(n) for the cut, plus O(n1 log n1) for the
+heap and O(n log n2) for sorting components and children: no depth term.
+Each component is labelled once, rooted at a center or at its near
+endpoint, in one AHU table per split (Aho, Hopcroft and Ullman 1974); the
+fiber's labellings are cached per root.  The certificate is one pass over
+the edges of x.
 """
 
 from __future__ import annotations
@@ -58,23 +59,23 @@ from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .errors import InconsistentTraceError
-from .graphs import (Graph, _ahu_labels, _centers, is_tree,
-                     rooted_tree_iso_map, tree_canonical_form, tree_iso_map,
-                     tree_isomorphic, tree_preorder)
-from .product import VertexMap, sierpinski_product
+from .graphs import (Graph, Labelled, _ahu_labels, _centers, _pair_rooted,
+                     is_tree, tree_canonical_form, tree_preorder)
+from .product import VertexMap
 
 
 def pendant_split_edges(x: Graph, n2: int) -> list[tuple[int, int]]:
     """All edges of the tree x whose removal leaves components of orders
-    exactly n2 and n(x) - n2; computed by one subtree-size pass."""
+    exactly n2 and n(x) - n2, as sorted pairs in sorted order: the cut
+    edges of a leaf's fiber when x is a product with fiber order n2."""
     if not is_tree(x):
         raise ValueError("pendant_split_edges needs a tree")
     n = x.order
     if n2 < 1 or n2 >= n:
         return []
-    parent, size, _ = _rooting(x)
-    return [(u, v) for u, v in x.edges()
-            if size[v if parent[v] == u else u] in (n2, n - n2)]
+    _, parent, size, _ = _rooting(x)
+    return sorted((min(c, parent[c]), max(c, parent[c]))
+                  for c in range(1, n) if size[c] in (n2, n - n2))
 
 
 # ---------------------------------------------------------------------------
@@ -113,59 +114,113 @@ class PeelTrace:
 
 
 def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
-    """Rebuild the connecting function from a completed peel.
+    """Rebuild the connecting function from a completed peel, and certify it.
 
     The peel steps are replayed newest-first.  Each step's far endpoint
     fixes f at the peeled base vertex through the already-chosen
-    isomorphism of the neighbor fiber, and its near endpoint either fixes f
-    at the neighbor or constrains the peeled fiber's isomorphism to honor
-    the value fixed earlier.  Raises InconsistentTraceError when no
-    isomorphism honors a constraint; for traces peeled off a genuine
-    product that indicates an implementation bug.
+    isomorphism of the neighbor component, and its near endpoint either
+    fixes f at the neighbor or constrains the peeled component's
+    isomorphism to honor the value fixed earlier.  An unconstrained
+    isomorphism roots the component at its least center and the fiber at
+    its first matching center.  Raises InconsistentTraceError when no
+    isomorphism honors a constraint or when the explicit isomorphism ψ of
+    the module docstring fails on some vertex or edge.
     """
-    comps = trace.components()
-    if base.order != len(comps):
+    x, comps, n2 = trace.source, trace.components(), fiber.order
+    k = len(comps)
+    if base.order != k:
         raise InconsistentTraceError("base order does not match the trace")
-    owner = trace.owner_of()
-    locals_ = [{v: j for j, v in enumerate(comp)} for comp in comps]
-    subtrees = [trace.source.induced(comp) for comp in comps]
-    phi: list[Optional[dict[int, int]]] = [None] * len(comps)
-    fval: dict[int, Optional[int]] = {i: None for i in range(len(comps))}
+    if x.order != k * n2 or any(len(comp) != n2 for comp in comps):
+        raise InconsistentTraceError("components do not all have the "
+                                     "fiber's order")
+    owner = [-1] * x.order
+    for i, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = i
+    if -1 in owner:
+        raise InconsistentTraceError("the components do not cover the input")
+    table: dict = {}
+    zeros = bytes(n2)
+    fiber_at: dict[int, Labelled] = {}  # the fiber rooted at each key
 
-    last = len(comps) - 1
-    m = tree_iso_map(subtrees[last], fiber)
-    if m is None:
-        raise InconsistentTraceError("final component is not a copy of the fiber")
-    phi[last] = {v: m[locals_[last][v]] for v in comps[last]}
+    def rooted_fiber(r: int) -> Labelled:
+        if r not in fiber_at:
+            fiber_at[r] = _ahu_labels(fiber.adj, r, table, zeros, 0)
+        return fiber_at[r]
 
+    img = [-1] * x.order  # φ_owner(v)(v), -1 until φ_owner(v) is chosen
+
+    def free(i: int) -> bool:
+        # φ_i unconstrained: component i rooted at its least center, the
+        # fiber at its first center that matches
+        comp = comps[i]
+        index = {v: j for j, v in enumerate(comp)}
+        local = [[index[w] for w in x.adj[v] if owner[w] == i] for v in comp]
+        r = comp[_centers(local)[0]]
+        t = _ahu_labels(x.adj, r, table, owner, i)
+        return any(_pair_rooted(t, r, rooted_fiber(c), c, img)
+                   for c in _centers(fiber.adj))
+
+    fval: list[Optional[int]] = [None] * k
+    if not free(k - 1):
+        raise InconsistentTraceError("final component is not a copy of the "
+                                     "fiber")
     for step in reversed(trace.steps):
         i = step.base_vertex
         near, far = step.edge
         j = owner[far]
-        if phi[j] is None:
+        if img[far] < 0 or owner[near] != i:
             raise InconsistentTraceError(
                 "peel edge points into a fiber peeled earlier")
         if fval[j] is None:
-            m = tree_iso_map(subtrees[i], fiber)
-            if m is None:
+            if not free(i):
                 raise InconsistentTraceError(
-                    f"component of base vertex {i} is not a copy of the fiber")
-            phi[i] = {v: m[locals_[i][v]] for v in comps[i]}
-            fval[j] = phi[i][near]
-        else:
-            root_local = locals_[i][near]
-            m = rooted_tree_iso_map(subtrees[i], root_local, fiber, fval[j])
-            if m is None:
-                raise InconsistentTraceError(
-                    f"no fiber isomorphism sends the near endpoint of base "
-                    f"vertex {i} to the already fixed value {fval[j]}")
-            phi[i] = {v: m[locals_[i][v]] for v in comps[i]}
-        fval[i] = phi[j][far]
+                    f"component of base vertex {i} is not a copy of the "
+                    "fiber")
+            fval[j] = img[near]
+        elif not _pair_rooted(_ahu_labels(x.adj, near, table, owner, i), near,
+                              rooted_fiber(fval[j]), fval[j], img):
+            raise InconsistentTraceError(
+                f"no fiber isomorphism sends the near endpoint of base "
+                f"vertex {i} to the already fixed value {fval[j]}")
+        fval[i] = img[far]
 
-    if any(v is None for v in fval.values()):
+    if None in fval:
         raise InconsistentTraceError("some base vertex received no map value")
-    return VertexMap(base.order, fiber.order,
-                     tuple(fval[i] for i in range(len(comps))))
+    _certify(x, owner, img, base, fiber, fval)
+    return VertexMap(k, n2, tuple(fval))
+
+
+def _certify(x: Graph, owner: list[int], img: list[int], base: Graph,
+             fiber: Graph, fval: list[int]) -> None:
+    """Check that ψ(v) = owner[v]·n2 + img[v] is an isomorphism from x onto
+    base ⊗_fval fiber: a bijection on vertices that sends every edge of x
+    to an edge of the product, which has as many edges as x."""
+    n2 = fiber.order
+    if x.size != base.order * fiber.size + base.size:
+        raise InconsistentTraceError("the product's size differs from the "
+                                     "input's")
+    hit = bytearray(x.order)
+    for v, a in enumerate(img):
+        p = owner[v] * n2 + a
+        if a < 0 or hit[p]:
+            raise InconsistentTraceError(f"ψ is not a bijection at vertex {v}")
+        hit[p] = 1
+    fadj = [set(nbrs) for nbrs in fiber.adj]
+    badj = [set(nbrs) for nbrs in base.adj]
+    for u, nbrs in enumerate(x.adj):
+        i, a = owner[u], img[u]
+        for w in nbrs:
+            if w < u:
+                continue
+            j = owner[w]
+            if i == j:
+                ok = img[w] in fadj[a]
+            else:
+                ok = j in badj[i] and a == fval[j] and img[w] == fval[i]
+            if not ok:
+                raise InconsistentTraceError(
+                    f"ψ sends the edge {u}-{w} to a non-edge of the product")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +247,9 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
     """Decide whether x is the product of two trees on >= 2 vertices each,
     returning one certified factorization per distinct (base, fiber) shape.
 
-    Every factorization returned has been rebuilt and checked isomorphic to
-    the input; failures are reported per order split in diagnostics.
+    Every factorization returned has been certified by an explicit
+    isomorphism onto the rebuilt product; failures are reported per order
+    split in diagnostics.
     """
     diagnostics: dict[str, str] = {}
     if not is_tree(x):
@@ -222,208 +278,84 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
     return RecognitionOutcome(status, found, diagnostics)
 
 
-# parent, subtree size and child set of every vertex, rooted at vertex 0
-_Rooting = tuple[list[int], list[int], list[set[int]]]
+# preorder from vertex 0, parents, subtree sizes, and count[s], the number
+# of vertices other than 0 whose subtree has order s
+_Rooting = tuple[list[int], list[int], list[int], list[int]]
 
 
 def _rooting(x: Graph) -> _Rooting:
-    """The tree x rooted at vertex 0 by one preorder: parents, subtree
-    sizes and child sets, shared by the peel states of every split."""
+    """The tree x rooted at vertex 0 by one preorder, shared by every
+    split."""
     order, parent = tree_preorder(x.adj, 0)
-    kids: list[set[int]] = [set() for _ in range(x.order)]
-    for v in order[1:]:
-        kids[parent[v]].add(v)
     size = [1] * x.order
     for v in order[:0:-1]:
         size[parent[v]] += size[v]
-    return parent, size, kids
+    count = [0] * (x.order + 1)
+    for s in size[1:]:
+        count[s] += 1
+    return order, parent, size, count
 
 
-class _PeelState:
-    """The part of x left while fibers of order n2 are peeled off it.
-
-    It starts from ``_rooting(x)`` and copies what it changes.  ``parent``
-    never changes; ``kids[v]`` holds the children of v that are left and
-    ``size[v]`` the order of v's subtree among the vertices left, kept valid
-    for every vertex left.  Every edge left joins some c to ``parent[c]``,
-    c below the current ``root`` (whose own parent entry is stale once the
-    root has moved).  A candidate (near, far) is an edge splitting off
-    ``n2`` vertices on the side of near: the subtree of c = near when
-    ``parent[near] == far`` (the child side), else everything left outside
-    the subtree of c = far (the root side).  Peeling the child side
-    subtracts n2 along the path from far up to the root; peeling the root
-    side makes far the root and changes no size.  Either costs
-    O(n2 + depth).
-    """
-
-    def __init__(self, rooting: _Rooting, n2: int):
-        self.parent, size, kids = rooting
-        self.size = size[:]
-        self.kids = list(map(set.copy, kids))
-        self.n2 = n2
-        self.root = 0
-        self.total = len(size)
-        self.peeled = bytearray(self.total)  # 1 marks a peeled vertex
-        # (lower endpoint, higher endpoint, c) for the edges (c, parent[c])
-        # whose subtree side has order n2; a superset of them, pruned lazily
-        self.heap = [self._entry(c) for c in range(1, self.total)
-                     if size[c] == n2]
-        heapify(self.heap)
-
-    def _entry(self, c: int) -> tuple[int, int, int]:
-        p = self.parent[c]
-        return (c, p, c) if c < p else (p, c, c)
-
-    def _valid(self, c: int) -> bool:
-        return (self.size[c] == self.n2 and c != self.root
-                and not self.peeled[c])
-
-    def _heavy(self) -> Optional[int]:
-        """The c whose subtree leaves n2 vertices outside it, when that is
-        more than n2 inside it (else the candidates are all in the heap).
-        Such a c lies on the path from the root through children holding
-        more than half the vertices; each child passed over puts its whole
-        subtree outside, so the walk stops after O(n2) children."""
-        need = self.total - self.n2
-        if need <= self.n2:
-            return None
-        size, u = self.size, self.root
-        while True:
-            slack = size[u] - 1 - need  # room left for u's other subtrees
-            if slack < 0:
-                return None
-            for w in self.kids[u]:
-                if size[w] >= need:
-                    break
-                slack -= size[w]
-                if slack < 0:
-                    return None
-            else:
-                return None
-            if size[w] == need:
-                return w
-            u = w
-
-    def _oriented(self, c: int, low_path: set[int]) -> tuple[int, int]:
-        """Candidate c as (near, far).  When both sides have order n2
-        (``low_path`` is not empty), near's side is the one without the
-        lowest vertex left: c's subtree unless c is on ``low_path``."""
-        p = self.parent[c]
-        if self.size[c] == self.n2 and c not in low_path:
-            return c, p
-        return p, c
-
-    def _low_path(self) -> set[int]:
-        """The lowest vertex left and its ancestors, when both sides of
-        every candidate have order n2; else empty."""
-        if self.total != 2 * self.n2:
-            return set()
-        v = self.peeled.index(0)
-        path = {v}
-        while v != self.root:
-            v = self.parent[v]
-            path.add(v)
-        return path
-
-    def least(self) -> Optional[tuple[int, int]]:
-        """The candidate with the least (lower, higher) endpoint pair, or
-        None when there is none."""
-        heap = self.heap
-        while heap and not self._valid(heap[0][2]):
-            heappop(heap)
-        best = heap[0] if heap else None
-        c = self._heavy()
-        if c is not None and (best is None or self._entry(c) < best):
-            best = self._entry(c)
-        return None if best is None else self._oriented(best[2],
-                                                         self._low_path())
-
-    def side(self, near: int, far: int) -> list[int]:
-        """The vertices on near's side of the candidate edge, by a walk
-        over them alone."""
-        if self.parent[near] == far:
-            start, skip = near, -1
+def _peel_trace(x: Graph, n1: int, n2: int, rooting: _Rooting
+                ) -> tuple[Optional[PeelTrace], str]:
+    """Cut the edges with a side of order ≡ 0 (mod n2) and replay the
+    greedy peel order on the quotient tree (module docstring).  Returns
+    the trace, or None and the reason the split has none."""
+    order, parent, size, count = rooting
+    cuts = sum(count[n2 * k] for k in range(1, n1))
+    if cuts != n1 - 1:
+        return None, (f"{cuts} edges have a side of order divisible by "
+                      f"{n2}, not n1 - 1 = {n1 - 1}")
+    owner = [0] * x.order
+    comps: list[list[int]] = [[0]]
+    links = [0] * n1   # xor of the cut vertices on a component's cut edges
+    degree = [0] * n1  # number of cut edges left at a component
+    for v in order[1:]:
+        if size[v] % n2:
+            owner[v] = owner[parent[v]]
+            comps[owner[v]].append(v)
         else:
-            start, skip = self.root, far
-        out = [start]
-        stack = [start]
-        while stack:
-            for w in self.kids[stack.pop()]:
-                if w != skip:
-                    out.append(w)
-                    stack.append(w)
-        return out
+            i, j = len(comps), owner[parent[v]]
+            owner[v] = i
+            comps.append([v])
+            links[i] = v
+            links[j] ^= v
+            degree[i] = 1
+            degree[j] += 1
 
-    def _add_up(self, v: int, delta: int) -> None:
-        """Add delta to the sizes of v and its ancestors up to the root."""
-        size, parent, root, n2 = self.size, self.parent, self.root, self.n2
-        while True:
-            size[v] += delta
-            if size[v] == n2:
-                heappush(self.heap, self._entry(v))
-            if v == root:
-                return
-            v = parent[v]
+    def key(i: int) -> tuple[int, int, int]:
+        c, p = links[i], parent[links[i]]
+        return (c, p, i) if c < p else (p, c, i)
 
-    def peel(self, near: int, far: int, side: list[int]) -> None:
-        """Remove ``side``, the vertices on near's side of (near, far)."""
-        for v in side:
-            self.peeled[v] = 1
-        self.total -= self.n2
-        if self.parent[near] == far:
-            self.kids[far].discard(near)
-            self._add_up(far, -self.n2)
-        else:
-            self.root = far
-
-
-def _fiber_labels(x: Graph, comp: tuple[int, ...], table: dict,
-                  centers: int = 2) -> list[int]:
-    """AHU labels, from the shared ``table``, of the subtree of x on the
-    sorted vertices ``comp`` rooted at its first ``centers`` centers.  Two
-    such subtrees are isomorphic exactly when the label at one center of
-    the first is among the labels at the centers of the second."""
-    index = {v: i for i, v in enumerate(comp)}
-    adj = [[index[w] for w in x.adj[v] if w in index] for v in comp]
-    return [_ahu_labels(adj, c, table)[0][c] for c in _centers(adj)[:centers]]
-
-
-def _peel(x: Graph, n2: int, rooting: _Rooting
-          ) -> tuple[Optional[PeelTrace], str]:
-    """Peel fibers of order n2 off x until n2 vertices remain, taking the
-    least candidate at every step (complete, by the argument in the module
-    docstring).  Each peeled component is labelled once and checked against
-    the labels of the first fiber at its centers.  Returns the trace, or
-    None and the reason the peel stopped.
-    """
-    state = _PeelState(rooting, n2)
-    table: dict = {}
+    heap = [key(i) for i in range(n1) if degree[i] == 1]
+    heapify(heap)
     steps: list[PeelStep] = []
-    reference: Optional[list[int]] = None  # labels of the first fiber
-    while state.total > n2:
-        cand = state.least()
-        if cand is None:
-            return None, (f"after {len(steps)} peels no pendant split edge "
-                          f"isolates a component of order {n2}")
-        side = state.side(*cand)
-        comp = tuple(sorted(side))
-        if reference is None:
-            reference = _fiber_labels(x, comp, table)
-        elif _fiber_labels(x, comp, table, 1)[0] not in reference:
-            return None, (f"peeled component at step {len(steps)} is not "
-                          "isomorphic to the first fiber")
-        steps.append(PeelStep(len(steps), cand, comp))
-        state.peel(*cand, side)
-    final = tuple(v for v in range(x.order) if not state.peeled[v])
-    if _fiber_labels(x, final, table, 1)[0] not in reference:
-        return None, "last remaining component does not match the fiber"
-    return PeelTrace(x, tuple(steps), final), "ok"
+    for _ in range(n1 - 2):
+        i = heappop(heap)[2]
+        c = links[i]
+        near, far = (c, parent[c]) if owner[c] == i else (parent[c], c)
+        steps.append(PeelStep(len(steps), (near, far), tuple(sorted(comps[i]))))
+        j = owner[far]
+        links[j] ^= c
+        degree[j] -= 1
+        if degree[j] == 1:
+            heappush(heap, key(j))
+    # two components left, joined by one edge: peel the side without the
+    # lowest vertex left
+    c = links[heap[0][2]]
+    near, far = c, parent[c]
+    sides = [tuple(sorted(comps[owner[near]])), tuple(sorted(comps[owner[far]]))]
+    if sides[0][0] < sides[1][0]:
+        near, far = far, near
+        sides.reverse()
+    steps.append(PeelStep(len(steps), (near, far), sides[0]))
+    return PeelTrace(x, tuple(steps), sides[1]), "ok"
 
 
 def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
                ) -> tuple[Optional[Factorization], str]:
-    """Peel n1 - 1 fibers of order n2 off x, then rebuild and certify."""
-    trace, reason = _peel(x, n2, rooting)
+    """Cut x into n1 fibers of order n2, then rebuild and certify."""
+    trace, reason = _peel_trace(x, n1, n2, rooting)
     if trace is None:
         return None, reason
     base = Graph.from_edges(n1, trace.base_edges())
@@ -432,7 +364,4 @@ def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
         vmap = reconstruct_map(trace, base, fiber)
     except InconsistentTraceError as exc:
         return None, f"map reconstruction failed: {exc}"
-    rebuilt = sierpinski_product(base, fiber, vmap)
-    if not tree_isomorphic(rebuilt.graph, x):
-        return None, "rebuilt product is not isomorphic to the input"
     return Factorization(base, fiber, vmap, trace), "ok"

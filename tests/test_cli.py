@@ -175,6 +175,13 @@ def test_family_missing_param_is_malformed_input(capsys):
     assert "lacks p" in capsys.readouterr().err
 
 
+def test_family_complete_k2_needs_both_part_sizes(capsys):
+    for given, lacks in (("m1=3", "m2"), ("m2=3", "m1")):
+        assert main(["family", "complete-k2", "--params", f"m=4,{given}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--params lacks {lacks}" in captured.err
+
+
 def test_family_non_integer_param_is_malformed_input(capsys):
     assert main(["family", "corona", "--params", "n=x,p=2"]) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -4,14 +4,16 @@ from contextlib import contextmanager
 
 import pytest
 
+from sierpack.errors import InconsistentTraceError
 from sierpack.families import path_path_min_map
-from sierpack.graphs import (Graph, free_trees, path, random_tree, star,
-                             tree_canonical_form, tree_iso_map,
+from sierpack.graphs import (Graph, _centers, free_trees, path, random_tree,
+                             star, tree_canonical_form, tree_iso_map,
                              tree_isomorphic, tree_preorder)
 from sierpack.product import VertexMap, sierpinski_product
-from sierpack.recognition import (PeelStep, PeelTrace, _PeelState, _peel,
-                                  _rooting, pendant_split_edges,
-                                  recognize_tree_product, reconstruct_map)
+from sierpack.recognition import (Factorization, PeelStep, PeelTrace,
+                                  _certify, _peel_trace, _rooting, _try_split,
+                                  pendant_split_edges, recognize_tree_product,
+                                  reconstruct_map)
 
 
 def test_pendant_split_examples():
@@ -85,7 +87,9 @@ def test_pendant_connecting_edge_characterization():
     # the completeness lemma: in a product in any vertex order, the edges
     # with a side of the fiber's order are exactly the connecting edges of
     # the base tree's pendant edges, each such side is a leaf's whole fiber
-    # (both sides when n1 = 2), and greedy peeling only ever peels fibers
+    # (both sides when n1 = 2), the edges with a side of order divisible by
+    # the fiber's are exactly the connecting edges, and every peel of the
+    # greedy order removes a whole fiber
     rng = random.Random(42)
     for _ in range(100):
         n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
@@ -108,12 +112,13 @@ def test_pendant_connecting_edge_characterization():
                      if len(c) == n2]
             assert len(sides) == (2 if n1 == 2 else 1)
             assert all(side in leaf_fibers for side in sides)
-        state = _PeelState(_rooting(x), n2)
-        while state.total > n2:
-            edge = state.least()
-            side = state.side(*edge)
-            assert frozenset(side) in fibers
-            state.peel(*edge, side)
+        rooting = _rooting(x)
+        _, parent, size, _ = rooting
+        assert {frozenset((c, parent[c])) for c in range(1, x.order)
+                if size[c] % n2 == 0} == \
+            {frozenset((perm[u], perm[v])) for (u, v), _ in prod.connecting}
+        trace, _ = _peel_trace(x, n1, n2, rooting)
+        assert all(frozenset(comp) in fibers for comp in trace.components())
 
 
 def _components_minus_edge(g, edge):
@@ -239,8 +244,18 @@ def test_large_tree_product_under_a_shallow_stack():
     assert tree_isomorphic(fact.fiber, fiber)
 
 
+def test_relabelled_path_product_of_order_ten_thousand():
+    vmap, _ = path_path_min_map(200, 50)
+    prod = sierpinski_product(path(200), path(50), vmap).graph
+    perm = list(range(prod.order))
+    random.Random(48).shuffle(perm)
+    out = recognize_tree_product(prod.relabel(perm))
+    assert out.status == "factored"
+    assert len(out.factorizations) == 23
+
+
 # the eager candidate list of an earlier version, kept as the oracle for the
-# peel state's candidates
+# candidates the residue cut predicts
 
 def _old_subtree_sizes(adj, vertices, root):
     alive = set(vertices)
@@ -296,6 +311,25 @@ def _old_split_candidates(x, remaining, n2):
     return out
 
 
+def _quotient_candidates(x, owner, left):
+    """The candidates the residue cut predicts for the union of the
+    components in ``left``: the cut edge of each leaf of the quotient on
+    ``left`` as (near, far), near in the leaf, with the leaf as its side;
+    when two components are left, the side without the lowest vertex."""
+    cut = {i: [] for i in left}
+    for u in range(x.order):
+        for v in x.adj[u]:
+            if owner[u] != owner[v] and owner[u] in left and owner[v] in left:
+                cut[owner[u]].append((u, v))
+    low = min(v for v in range(x.order) if owner[v] in left)
+    out = []
+    for i, edges in cut.items():
+        if len(edges) == 1 and not (len(left) == 2 and owner[low] == i):
+            side = frozenset(v for v in range(x.order) if owner[v] == i)
+            out.append((edges[0], side))
+    return sorted(out, key=lambda c: sorted(c[0]))
+
+
 def test_split_candidates_match_eager_oracle():
     rng = random.Random(45)
     compared = 0
@@ -307,22 +341,19 @@ def test_split_candidates_match_eager_oracle():
         perm = list(range(x.order))
         rng.shuffle(perm)
         x = x.relabel(perm)
+        trace, _ = _peel_trace(x, n1, n2, _rooting(x))
+        owner = trace.owner_of()
         remaining = frozenset(range(x.order))
-        state = _PeelState(_rooting(x), n2)
-        # walk one random peel path, comparing the least candidate and its
-        # side at every step
+        left = set(range(n1))
+        # walk one random peel path: at every step the eager candidates,
+        # recomputed from scratch, are the quotient's leaf edges
         while len(remaining) > n2:
             old = _old_split_candidates(x, remaining, n2)
-            edge = state.least()
-            new = [] if edge is None else \
-                [(edge, frozenset(state.side(*edge)))]
-            assert new == old[:1]
+            assert old == _quotient_candidates(x, owner, left)
             compared += 1
-            if not old:
-                break
             edge, side = old[rng.randrange(len(old))]
             remaining = remaining - side
-            state.peel(*edge, list(side))
+            left.discard(owner[edge[0]])
     assert compared > 100
 
 
@@ -342,7 +373,8 @@ def _random_inputs(rng, count):
         yield x.relabel(perm)
 
 
-# the per-peel rebuild the peel state replaced, kept as its oracle
+# the per-peel rebuild, map reconstruction and final check of an earlier
+# version, kept as the oracle for the residue cut and the certificate
 
 def _rebuilt_candidates(x, peeled, n2):
     order, parent = tree_preorder(x.adj, peeled.index(0), peeled)
@@ -378,26 +410,262 @@ def _rebuilt_peel(x, n2):
         sub = x.induced(comp)
         if reference is None:
             reference = sub
-        elif not tree_isomorphic(sub, reference):
+        elif not _same_tree(sub, reference):
             return None, (f"peeled component at step {len(steps)} is not "
                           "isomorphic to the first fiber")
         steps.append(PeelStep(len(steps), (near, far), comp))
         for v in comp:
             peeled[v] = 1
     final = tuple(v for v in range(x.order) if not peeled[v])
-    if not tree_isomorphic(x.induced(final), reference):
+    if not _same_tree(x.induced(final), reference):
         return None, "last remaining component does not match the fiber"
     return PeelTrace(x, tuple(steps), final), "ok"
 
 
+def _same_tree(t1, t2):
+    # string canonical forms: independent of the AHU labels under test
+    return tree_canonical_form(t1) == tree_canonical_form(t2)
+
+
+def _old_ahu_labels(adj, root, table):
+    order, parent = tree_preorder(adj, root)
+    label = [0] * len(adj)
+    for v in reversed(order):
+        key = tuple(sorted(label[w] for w in adj[v] if parent[w] == v))
+        label[v] = table.setdefault(key, len(table))
+    return label, parent
+
+
+def _old_pair_rooted(t1, r1, lab1, t2, r2, lab2):
+    (l1, p1), (l2, p2) = lab1, lab2
+    if l1[r1] != l2[r2]:
+        return None
+    mapping = {}
+    stack = [(r1, r2)]
+    while stack:
+        v1, v2 = stack.pop()
+        mapping[v1] = v2
+        c1 = sorted((l1[c], c) for c in t1.adj[v1] if p1[c] == v1)
+        c2 = sorted((l2[c], c) for c in t2.adj[v2] if p2[c] == v2)
+        stack.extend((a, b) for (_, a), (_, b) in zip(c1, c2))
+    return mapping
+
+
+def _old_tree_iso_map(t1, t2):
+    c1, c2 = _centers(t1.adj), _centers(t2.adj)
+    if t1.order != t2.order or len(c1) != len(c2):
+        return None
+    table = {}
+    lab1 = _old_ahu_labels(t1.adj, c1[0], table)
+    for r2 in c2:
+        m = _old_pair_rooted(t1, c1[0], lab1,
+                             t2, r2, _old_ahu_labels(t2.adj, r2, table))
+        if m is not None:
+            return m
+    return None
+
+
+def _old_rooted_tree_iso_map(t1, r1, t2, r2):
+    table = {}
+    return _old_pair_rooted(t1, r1, _old_ahu_labels(t1.adj, r1, table),
+                            t2, r2, _old_ahu_labels(t2.adj, r2, table))
+
+
+def _old_reconstruct_map(trace, base, fiber):
+    comps = trace.components()
+    if base.order != len(comps):
+        raise InconsistentTraceError("base order does not match the trace")
+    owner = trace.owner_of()
+    locals_ = [{v: j for j, v in enumerate(comp)} for comp in comps]
+    subtrees = [trace.source.induced(comp) for comp in comps]
+    phi = [None] * len(comps)
+    fval = {i: None for i in range(len(comps))}
+
+    last = len(comps) - 1
+    m = _old_tree_iso_map(subtrees[last], fiber)
+    if m is None:
+        raise InconsistentTraceError("final component is not a copy of the fiber")
+    phi[last] = {v: m[locals_[last][v]] for v in comps[last]}
+
+    for step in reversed(trace.steps):
+        i = step.base_vertex
+        near, far = step.edge
+        j = owner[far]
+        if phi[j] is None:
+            raise InconsistentTraceError(
+                "peel edge points into a fiber peeled earlier")
+        if fval[j] is None:
+            m = _old_tree_iso_map(subtrees[i], fiber)
+            if m is None:
+                raise InconsistentTraceError(
+                    f"component of base vertex {i} is not a copy of the fiber")
+            phi[i] = {v: m[locals_[i][v]] for v in comps[i]}
+            fval[j] = phi[i][near]
+        else:
+            root_local = locals_[i][near]
+            m = _old_rooted_tree_iso_map(subtrees[i], root_local, fiber,
+                                         fval[j])
+            if m is None:
+                raise InconsistentTraceError(
+                    f"no fiber isomorphism sends the near endpoint of base "
+                    f"vertex {i} to the already fixed value {fval[j]}")
+            phi[i] = {v: m[locals_[i][v]] for v in comps[i]}
+        fval[i] = phi[j][far]
+
+    if any(v is None for v in fval.values()):
+        raise InconsistentTraceError("some base vertex received no map value")
+    return VertexMap(base.order, fiber.order,
+                     tuple(fval[i] for i in range(len(comps))))
+
+
+def _oracle_split(x, n1, n2):
+    trace, _ = _rebuilt_peel(x, n2)
+    if trace is None:
+        return None
+    base = Graph.from_edges(n1, trace.base_edges())
+    fiber = x.induced(trace.steps[0].component)
+    try:
+        vmap = _old_reconstruct_map(trace, base, fiber)
+    except InconsistentTraceError:
+        return None
+    if not _same_tree(sierpinski_product(base, fiber, vmap).graph, x):
+        return None
+    return Factorization(base, fiber, vmap, trace)
+
+
 def test_peel_matches_per_peel_rebuild():
+    # same base, fiber, map and peel trace as the oracle on every split,
+    # and no factorization where the oracle finds none
     rng = random.Random(49)
-    splits = 0
-    for x in _random_inputs(rng, 120):
+    splits = factored = 0
+    for x in _random_inputs(rng, 150):
         rooting = _rooting(x)
         for n2 in range(2, x.order // 2 + 1):
             if x.order % n2:
                 continue
-            assert _peel(x, n2, rooting) == _rebuilt_peel(x, n2)
+            fact, _ = _try_split(x, x.order // n2, n2, rooting)
+            assert fact == _oracle_split(x, x.order // n2, n2)
             splits += 1
-    assert splits > 400
+            factored += fact is not None
+    assert splits > 400 and factored > 100
+
+
+def _moved_connecting_edge(rng):
+    """A product of random trees with one connecting edge moved to another
+    vertex of the same fiber, in shuffled vertex order: the edges with a
+    side of order divisible by n2 still cut out the fibers, but the cut
+    edges need not fit one map."""
+    n1, n2 = rng.randint(3, 7), rng.randint(3, 7)
+    t1, t2 = random_tree(n1, rng), random_tree(n2, rng)
+    f = VertexMap(n1, n2, tuple(rng.randrange(n2) for _ in range(n1)))
+    prod = sierpinski_product(t1, t2, f)
+    (u, v), (g, _) = prod.connecting[rng.randrange(len(prod.connecting))]
+    if prod.base_of(u) != g:
+        u, v = v, u
+    moved = prod.vertex_of(g, rng.choice([h for h in range(n2) if h != f(g)]))
+    edges = [e for e in prod.graph.edges() if set(e) != {u, v}]
+    x = Graph.from_edges(prod.graph.order, edges + [(moved, v)])
+    perm = list(range(x.order))
+    rng.shuffle(perm)
+    return n1, n2, x.relabel(perm)
+
+
+def test_isomorphic_components_that_fit_no_map_are_rejected():
+    rng = random.Random(50)
+    rejected = 0
+    for _ in range(150):
+        n1, n2, x = _moved_connecting_edge(rng)
+        rooting = _rooting(x)
+        trace, _ = _peel_trace(x, n1, n2, rooting)
+        fiber = x.induced(trace.steps[0].component)
+        assert all(tree_isomorphic(x.induced(comp), fiber)
+                   for comp in trace.components())
+        fact, _ = _try_split(x, n1, n2, rooting)
+        assert fact == _oracle_split(x, n1, n2)
+        rejected += fact is None
+    assert rejected > 0
+
+
+def test_certificate_fails_on_one_changed_value():
+    rng = random.Random(51)
+    for _ in range(30):
+        n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+        t1, t2 = random_tree(n1, rng), random_tree(n2, rng)
+        fval = [rng.randrange(n2) for _ in range(n1)]
+        x = sierpinski_product(t1, t2, VertexMap(n1, n2, tuple(fval))).graph
+        owner = [v // n2 for v in range(x.order)]
+        img = [v % n2 for v in range(x.order)]
+        _certify(x, owner, img, t1, t2, fval)  # the identity certifies
+        for g in range(n1):
+            for h in range(n2):
+                if h != fval[g]:
+                    changed = fval[:g] + [h] + fval[g + 1:]
+                    with pytest.raises(InconsistentTraceError):
+                        _certify(x, owner, img, t1, t2, changed)
+        for v in range(x.order):
+            for h in range(n2):
+                if h != img[v]:
+                    changed = img[:v] + [h] + img[v + 1:]
+                    with pytest.raises(InconsistentTraceError):
+                        _certify(x, owner, changed, t1, t2, fval)
+        # two φ values swapped inside a fiber, where the swap is not an
+        # automorphism of the fiber: ψ stays a bijection but breaks an edge
+        for v in range(x.order):
+            for w in range(v + 1, (owner[v] + 1) * n2):
+                a, b = img[v], img[w]
+                if set(t2.adj[a]) - {b} != set(t2.adj[b]) - {a}:
+                    swapped = img[:]
+                    swapped[v], swapped[w] = b, a
+                    with pytest.raises(InconsistentTraceError):
+                        _certify(x, owner, swapped, t1, t2, fval)
+
+
+def test_reconstruct_map_rejects_a_trace_with_a_wrong_map_edge():
+    # a product's trace with one peel edge moved inside its fiber: the
+    # components stay copies of the fiber, but no map fits the edges
+    prod = sierpinski_product(path(3), path(3), VertexMap.constant(3, 3, 0))
+    out = recognize_tree_product(prod.graph)
+    fact = next(f for f in out.factorizations if f.base.order == 3)
+    trace = fact.peel_trace
+    step = trace.steps[0]
+    other = next(v for v in step.component if v != step.edge[0])
+    moved = PeelStep(step.base_vertex, (other, step.edge[1]), step.component)
+    bad = PeelTrace(trace.source, (moved,) + trace.steps[1:],
+                    trace.final_component)
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(bad, fact.base, fact.fiber)
+
+
+def test_reconstruct_map_rejects_a_base_or_fiber_that_does_not_fit():
+    # with an extra edge every edge of the input still maps to an edge of
+    # the product, but the product has one edge more, so ψ is no isomorphism
+    prod = sierpinski_product(path(3), path(3), VertexMap.constant(3, 3, 0))
+    fact = next(f for f in recognize_tree_product(prod.graph).factorizations
+                if f.base.order == 3)
+    cycle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(fact.peel_trace, cycle, fact.fiber)
+    # a base tree of the right order and size, but not the trace's
+    other = next(t for t in (path(3), star(2))
+                 if set(t.edges()) != set(fact.base.edges()))
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(fact.peel_trace, other, fact.fiber)
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(fact.peel_trace, fact.base, cycle)
+
+
+def test_reconstruct_map_rejects_components_that_are_not_trees():
+    # every second vertex of a path: each component is edgeless
+    x = path(6)
+    trace = PeelTrace(x, (PeelStep(0, (4, 5), (0, 2, 4)),), (1, 3, 5))
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(trace, path(2), path(3))
+    # a source with a cycle, cut into two triangles
+    x = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (2, 3)])
+    trace = PeelTrace(x, (PeelStep(0, (3, 2), (3, 4, 5)),), (0, 1, 2))
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(trace, path(2), path(3))
+    # the certificate itself holds beyond trees: this is K2 ⊗ K3
+    assert reconstruct_map(trace, path(2), triangle).base_order == 2
