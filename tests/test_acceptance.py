@@ -4,9 +4,19 @@ Each test prints a single pass/fail line (visible with -s or in the
 captured output of a failing run).  Criteria 3 and 4 are expected to end in
 "discrepancy": the computation succeeds and contradicts a published closed
 form, and the computed values asserted here are the repo's ground truth.
+
+Every criterion's name, status and details must also equal
+verify_paper_golden.json, the `verify-paper --scale full` report with the
+timings (`elapsed_s`, `order_144_seconds`) left out.
 """
 
+import json
+from pathlib import Path
+
 from sierpack.checks import run_check
+
+GOLDEN = {r["criterion"]: r for r in json.loads(
+    Path(__file__).with_name("verify_paper_golden.json").read_text())["results"]}
 
 PASS = ("pass",)
 PASS_OR_DISCREPANCY = ("pass", "discrepancy")
@@ -18,6 +28,11 @@ def _report(result, allowed):
             f"[{result.status}] {result.name} ({result.elapsed:.1f}s)")
     print(line)
     assert result.status in allowed, result.details
+    details = json.loads(json.dumps(result.details))
+    details.pop("order_144_seconds", None)
+    want = GOLDEN[result.criterion]
+    assert (result.name, result.status, details) == \
+        (want["name"], want["status"], want["details"])
     return result
 
 
