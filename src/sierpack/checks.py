@@ -1,6 +1,9 @@
 """The cross-check suite behind `verify-paper`: every published closed form
 is recomputed from scratch and compared against exact solver output.
 
+Every check that uses a family's closed form or construction reads it from
+the registry, families.FAMILIES.
+
 Each check returns pass, fail, or discrepancy.  "discrepancy" means the
 computation succeeded but contradicts a published formula; two of those are
 known and expected (see checks 3 and 4), and the computed values are the
@@ -18,10 +21,7 @@ from math import comb
 from typing import Callable
 
 from .coloring import chi_rho_exact, chi_rho_naive
-from .families import (FAMILIES, color_class_T, complete_by_K2_value,
-                       complete_pair_value, corona_table_value,
-                       k2_special_value, path_star_coloring, spine_decompose,
-                       star_path_coloring, star_star_values_and_colorings)
+from .families import FAMILIES, color_class_T, spine_decompose
 from .graphs import (Graph, complete, corona, diameter, free_trees, path,
                      random_tree, star, tree_isomorphic, two_packing_number)
 from .product import (VertexMap, enumerate_maps, sierpinski_chi,
@@ -55,13 +55,14 @@ def check_1_complete_complete(scale: str) -> dict:
     pairs = _scaled(scale, [(3, 3), (3, 4)], [(3, 3), (3, 4), (4, 3), (4, 4)])
     rows = []
     ok = True
+    family = FAMILIES["complete-complete"]
     for m, n in pairs:
         vals = []
         for f in enumerate_maps(complete(m), complete(n)):
             prod = sierpinski_product(complete(m), complete(n), f)
             vals.append(chi_rho_exact(prod.graph)[0])
-        want_min = complete_pair_value(m, n, "min").value
-        want_max = complete_pair_value(m, n, "max").value
+        want_min = family.value({"m": m, "n": n}, "min").value
+        want_max = family.value({"m": m, "n": n}, "max").value
         row = {"m": m, "n": n, "maps": len(vals),
                "min": min(vals), "want_min": want_min,
                "max": max(vals), "want_max": want_max}
@@ -94,22 +95,23 @@ def check_3_k2_fiber(scale: str) -> dict:
     rows = []
     ok = True
     discrepancy = False
+    family = FAMILIES["complete-k2"]
+
+    def split_value(m: int, m1: int) -> int:
+        return family.value({"m": m, "m1": m1, "m2": m - m1}, "min").value
+
     for m in ms:
         observed = Counter()
         per_f = True
         for f in enumerate_maps(complete(m), complete(2)):
             prod = sierpinski_product(complete(m), complete(2), f)
             value = chi_rho_exact(prod.graph)[0]
-            m1 = sum(1 for x in f.image if x == 0)
-            m1, m2 = max(m1, m - m1), min(m1, m - m1)
-            per_f &= value == complete_by_K2_value(m, m1, m2).value
+            per_f &= value == split_value(m, f.image.count(0))
             observed[value] += 1
         predicted = Counter()
         for m2 in range(m + 1):
-            m1 = m - m2
-            key = complete_by_K2_value(m, max(m1, m2), min(m1, m2)).value
-            predicted[key] += comb(m, m2)
-        formula_max = k2_special_value(m, "fiber_K2", "max").value
+            predicted[split_value(m, m - m2)] += comb(m, m2)
+        formula_max = family.value({"m": m}, "max").value
         row = {"m": m, "per_map_piecewise_match": per_f,
                "multiset_match": observed == predicted,
                "observed_max": max(observed), "max_formula": formula_max}
@@ -139,7 +141,7 @@ def check_4_k2_base(scale: str) -> dict:
             values.add(chi_rho_exact(prod.graph)[0])
             naive_values.add(chi_rho_naive(prod.graph)[0])
             diams.add(diameter(prod.graph))
-        claimed = k2_special_value(n, "base_K2", "min").value
+        claimed = FAMILIES["k2-complete"].value({"n": n}, "min").value
         ok &= values == naive_values and len(values) == 1
         computed = min(values)
         agree = computed == claimed
@@ -207,7 +209,7 @@ def check_7_corona_tables(scale: str) -> dict:
         for n in ns:
             got.append(chi_rho_exact(corona(path(n), p),
                                      node_budget=50_000_000)[0])
-            want.append(corona_table_value(n, p).value)
+            want.append(FAMILIES["corona"].value({"n": n, "p": p}, "min").value)
         ok &= got == want
         rows.append({"p": p, "n": list(ns), "computed": got, "table": want})
     return {"ok": ok, "rows": rows}
@@ -221,7 +223,7 @@ def check_8_star_path(scale: str) -> dict:
     star_path = FAMILIES["star-path"]
     for m in range(3, min_hi[0] + 1):
         for n in range(2, min_hi[1] + 1):
-            col = star_path_coloring(m, n, mode="min")
+            col = star_path.construct({"m": m, "n": n}, "min")[1]
             want = star_path.value({"m": m, "n": n}, "min").value
             ok &= set(col.colors) == set(range(1, want + 1))
     worst = 0
@@ -229,7 +231,7 @@ def check_8_star_path(scale: str) -> dict:
         m = rng.randint(3, 10)
         n = rng.randint(2, 10)
         f = VertexMap(m + 1, n, tuple(rng.randrange(n) for _ in range(m + 1)))
-        col = star_path_coloring(m, n, f, mode="max_construction")
+        col = star_path.construct({"m": m, "n": n}, "max", f)[1]
         ok &= col.k <= star_path.value({"m": m, "n": n}, "max").value
         worst = max(worst, col.k)
     return {"ok": ok, "min_grid": "m<=%d n<=%d" % min_hi,
@@ -241,7 +243,7 @@ def check_9_path_star(scale: str) -> dict:
     m_hi, n_hi = _scaled(scale, (12, 4), (20, 6))
     rng = random.Random(45)
     path_star = FAMILIES["path-star"]
-    col = path_star_coloring(14, 3, mode="min")
+    col = path_star.construct({"m": 14, "n": 3}, "min")[1]
     figure = _figure_coloring_14_3()
     fig_ok = list(col.colors) == figure and \
         col.k == path_star.value({"m": 14, "n": 3}, "min").value
@@ -251,7 +253,7 @@ def check_9_path_star(scale: str) -> dict:
         m = rng.randint(2, m_hi)
         n = rng.randint(3, n_hi)
         f = VertexMap(m, n + 1, tuple(rng.randrange(n + 1) for _ in range(m)))
-        col = path_star_coloring(m, n, f, mode="max_construction")
+        col = path_star.construct({"m": m, "n": n}, "max", f)[1]
         ok &= col.k <= path_star.value({"m": m, "n": n}, "max").value
         worst = max(worst, col.k)
     return {"ok": ok, "figure_instance_reproduced": fig_ok,
@@ -287,7 +289,7 @@ def check_10_star_star(scale: str) -> dict:
         construction_ok = True
         worst = 0
         for f in enumerate_maps(star(m), star(n)):
-            _, col = star_star_values_and_colorings(m, n, f)
+            col = star_star.construct({"m": m, "n": n}, "max", f)[1]
             construction_ok &= col.k <= hi
             worst = max(worst, col.k)
         ok &= exact_min == want_min and lo <= exact_max <= hi and \
@@ -429,7 +431,8 @@ def run_all(scale: str = "full", jobs: int = 1) -> list[CheckResult]:
     if jobs <= 1:
         return [run_check(num, scale) for num in numbers]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers up front: no more than there are checks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(numbers))) as pool:
         return list(pool.map(_run_one, [(num, scale) for num in numbers]))
 
 

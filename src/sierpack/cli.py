@@ -99,6 +99,10 @@ def _cmd_product(args) -> int:
     if args.map:
         vmap = VertexMap.parse(args.map)
     elif args.map_constant is not None:
+        if not 0 <= args.map_constant < fiber.order:
+            raise InputFormatError(f"--map-constant {args.map_constant} is "
+                                   f"not a vertex of the {fiber.order}-vertex "
+                                   "fiber")
         vmap = VertexMap.constant(base.order, fiber.order, args.map_constant)
     else:
         raise InputFormatError("product needs --map or --map-constant")

@@ -5,7 +5,9 @@ FAMILIES, at the end of the module, is the one registry of the paper's
 product families: for each it names the parameters, gives the value in each
 mode it has, and, where the paper colors the family constructively, the
 factor graphs, the default map and the verified coloring.  The `family`
-command and the `verify-paper` checks read it.
+command reads it, and so does every `verify-paper` check that compares
+against a family's value or coloring; Family.value and Family.construct
+are the only way to them.
 
 Every coloring built here is verified before it is returned; a verification
 failure raises ConstructionError.  Values carry a source token naming the
@@ -99,9 +101,9 @@ def complete_pair_value(m: int, n: int, mode: str) -> FamilyValue:
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     if m == 2:
-        return k2_special_value(n, "base_K2", mode)
+        return _k2_base_value(n)
     if n == 2:
-        return k2_special_value(m, "fiber_K2", mode)
+        return _k2_fiber_value(m, mode)
     if m < 3 or n < 3:
         raise ValueError("complete_pair_value needs m, n >= 2")
     if mode == "min":
@@ -127,32 +129,29 @@ def complete_by_K2_value(m: int, m1: int, m2: int) -> FamilyValue:
                        "exact", value=value, source="complete-k2-piecewise")
 
 
-def k2_special_value(param: int, side: str, mode: str) -> FamilyValue:
-    """Published values for the two K_2 special cases, as stated.
+# The two K_2 special cases give the published values as stated.  These
+# are claims, not oracle-certified ground truth; the cross-check suite
+# computes the truth and reports against them.
 
-    base_K2: both min and max claimed to be 2n-1.  fiber_K2: min m+1, max
-    2m - ceil(m/2) - 1.  These are claims, not oracle-certified ground
-    truth; the cross-check suite computes the truth and reports against
-    them (the base_K2 claim fails for n >= 3, and the fiber_K2 max formula
-    fails at m = 3).
-    """
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
-    if side == "base_K2":
-        if param < 2:
-            raise ValueError("base_K2 needs fiber order n >= 2")
-        return FamilyValue("k2-complete", (("n", param),), "exact",
-                           value=2 * param - 1, source="k2-base-identity")
-    if side == "fiber_K2":
-        if param < 3:
-            raise ValueError("fiber_K2 needs base order m >= 3")
-        if mode == "min":
-            return FamilyValue("complete-k2", (("m", param),), "exact",
-                               value=param + 1, source="k2-fiber-min")
-        return FamilyValue("complete-k2", (("m", param),), "exact",
-                           value=2 * param - (-(-param // 2)) - 1,
-                           source="k2-fiber-max")
-    raise ValueError(f"unknown side {side!r}")
+def _k2_base_value(n: int) -> FamilyValue:
+    """Base K_2, fiber K_n: min and max both claimed to be 2n-1 (the claim
+    fails for n >= 3)."""
+    if n < 2:
+        raise ValueError("base_K2 needs fiber order n >= 2")
+    return FamilyValue("k2-complete", (("n", n),), "exact",
+                       value=2 * n - 1, source="k2-base-identity")
+
+
+def _k2_fiber_value(m: int, mode: str) -> FamilyValue:
+    """Base K_m, fiber K_2, over all maps: min m+1, max 2m - ceil(m/2) - 1
+    (the max formula fails at m = 3)."""
+    if m < 3:
+        raise ValueError("fiber_K2 needs base order m >= 3")
+    if mode == "min":
+        return FamilyValue("complete-k2", (("m", m),), "exact",
+                           value=m + 1, source="k2-fiber-min")
+    return FamilyValue("complete-k2", (("m", m),), "exact",
+                       value=2 * m - (-(-m // 2)) - 1, source="k2-fiber-max")
 
 
 def corona_table_value(n: int, p: int) -> FamilyValue:
@@ -333,33 +332,26 @@ def star_path_min_map(m: int, n: int) -> VertexMap:
     return VertexMap.constant(m + 1, n, 0)
 
 
-def star_path_coloring(m: int, n: int, f: Optional[VertexMap] = None,
-                       mode: str = "min") -> PackingColoring:
-    """Colorings for star base K_{1,m} (center 0) with path fiber P_n.
-
-    mode="min": for the constant endpoint map, the product is a spider; its
-    hub is colored 2, odd levels 1, levels 2 mod 4 get 3 and levels 0 mod 4
-    get 2, using exactly three colors.
-
-    mode="max_construction": a coloring with at most 7 colors valid for an
-    arbitrary map.  When every leaf fiber hangs from a path endpoint the
-    hub path takes the pattern 2,4,3,5,2,6,3,7 and each pendant path takes
-    1,2,1,3,... or 1,3,1,2,... depending on the color at its attachment.
-    When fibers attach at an interior path vertex both stubs of the fiber
-    are colored around the connecting vertex, and the hub path switches to
-    the palette {1,4,5,6,7} so that interior attachments stay legal; hub
-    vertices carrying three or more fibers must then take a high color, and
-    inputs too dense for that raise ConstructionOutOfRange.
-    """
-    return _colored("star-path", m, n, f, mode)
-
-
 def _star_path_min(prod: ProductGraph) -> PackingColoring:
+    """Star base K_{1,m} (center 0), path fiber P_n, constant endpoint map:
+    the product is a spider; its hub is colored 2, odd levels 1, levels
+    2 mod 4 get 3 and levels 0 mod 4 get 2, using exactly three colors."""
     return _by_depth(prod.graph, prod.vertex_of(0, 0), (2, 1, 3, 1),
                      "star-path-min")
 
 
 def _star_path_max(prod: ProductGraph) -> PackingColoring:
+    """A coloring of K_{1,m} (x)_f P_n with at most 7 colors, for any map f.
+
+    When every leaf fiber hangs from a path endpoint the hub path takes the
+    pattern 2,4,3,5,2,6,3,7 and each pendant path takes 1,2,1,3,... or
+    1,3,1,2,... depending on the color at its attachment.  When fibers
+    attach at an interior path vertex both stubs of the fiber are colored
+    around the connecting vertex, and the hub path switches to the palette
+    {1,4,5,6,7} so that interior attachments stay legal; hub vertices
+    carrying three or more fibers must then take a high color, and inputs
+    too dense for that raise ConstructionOutOfRange.
+    """
     g, f = prod.graph, prod.vmap
     m, n = prod.base.order - 1, prod.fiber.order
     p = f(0)
@@ -405,35 +397,37 @@ def _hub_path_colors(n: int, heavy: set[int]) -> list[int]:
             return [next(bigs) if h % 2 == phase else 1 for h in range(n)]
     out = [0] * n
     last = {4: -100, 5: -100, 6: -100, 7: -100}
-    steps = 0
 
-    def dfs(i: int) -> bool:
-        nonlocal steps
-        steps += 1
+    def choices(i: int):
+        # the colors position i can take, in search order; each high color
+        # holds its place in `last` until the search moves past it
+        if i not in heavy and (i == 0 or out[i - 1] != 1):
+            yield 1
+        for c in (4, 5, 6, 7):
+            if i - last[c] > c:
+                prev, last[c] = last[c], i
+                yield c
+                last[c] = prev
+
+    # depth-first on an explicit stack, one generator per colored position;
+    # a step is one position entered, the end of the path included
+    stack = []
+    for steps in itertools.count(1):
         if steps > 200_000:
             raise ConstructionOutOfRange(
                 "no {1,4,5,6,7} hub coloring found within the search cap")
-        if i == n:
-            return True
-        if i not in heavy and (i == 0 or out[i - 1] != 1):
-            out[i] = 1
-            if dfs(i + 1):
-                return True
-        for c in (4, 5, 6, 7):
-            if i - last[c] > c:
-                out[i] = c
-                prev = last[c]
-                last[c] = i
-                if dfs(i + 1):
-                    return True
-                last[c] = prev
-        out[i] = 0
-        return False
-
-    if not dfs(0):
-        raise ConstructionOutOfRange(
-            "attachments too dense for the {1,4,5,6,7} hub palette")
-    return out
+        if len(stack) == n:
+            return out
+        stack.append(choices(len(stack)))
+        while stack:
+            c = next(stack[-1], None)
+            if c is not None:
+                out[len(stack) - 1] = c
+                break
+            stack.pop()
+        else:
+            raise ConstructionOutOfRange(
+                "attachments too dense for the {1,4,5,6,7} hub palette")
 
 
 def _fill_interior_fiber(colors: list[int], prod: ProductGraph, i: int,
@@ -471,24 +465,11 @@ def path_star_min_map(m: int, n: int) -> VertexMap:
     return VertexMap(m, n + 1, tuple(image))
 
 
-def path_star_coloring(m: int, n: int, f: Optional[VertexMap] = None,
-                       mode: str = "min",
-                       cyclic_extension: bool = False) -> PackingColoring:
-    """Colorings for path base P_m with star fiber K_{1,n} (center 0).
-
-    mode="min": for the period-8 map, color every vertex of degree at most
-    2 with 1, fiber centers with 3 where the map value is the center and 2
-    elsewhere, and doubly-connecting leaves with 3.
-
-    mode="max_construction": color the shortest path between the connecting
-    vertices of the two end fibers with the 64-entry high pattern, all
-    remaining leaves 1 and all remaining centers 2.  Paths longer than the
-    pattern need cyclic_extension=True and are always re-verified.
-    """
-    return _colored("path-star", m, n, f, mode, cyclic_extension)
-
-
 def _path_star_min(prod: ProductGraph) -> PackingColoring:
+    """Path base P_m, star fiber K_{1,n} (center 0), period-8 map: color
+    every vertex of degree at most 2 with 1, fiber centers with 3 where the
+    map value is the center and 2 elsewhere, and doubly-connecting leaves
+    with 3."""
     g, f = prod.graph, prod.vmap
     colors = []
     for v in range(g.order):
@@ -510,6 +491,11 @@ def _path_star_min(prod: ProductGraph) -> PackingColoring:
 
 
 def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
+    """A coloring of P_m (x)_f K_{1,n} with at most 9 colors, for any map f:
+    the shortest path between the connecting vertices of the two end fibers
+    takes the 64-entry high pattern, all remaining leaves 1 and all
+    remaining centers 2.  Paths longer than the pattern need cyclic=True
+    and are always re-verified."""
     g, f, m = prod.graph, prod.vmap, prod.base.order
     src = prod.vertex_of(0, f(1))
     dst = prod.vertex_of(m - 1, f(m - 2))
@@ -521,7 +507,7 @@ def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
     if len(q) > len(PATH_STAR_SPINE_PATTERN) and not cyclic:
         raise ConstructionOutOfRange(
             f"path of {len(q)} vertices exceeds the {len(PATH_STAR_SPINE_PATTERN)}"
-            " entry pattern; pass cyclic_extension=True to wrap it")
+            " entry pattern; pass cyclic=True (--cyclic) to wrap it")
     colors = [0] * g.order
     on_q = set(q)
     for pos, v in enumerate(q):
@@ -549,27 +535,10 @@ def star_star_min_map(m: int, n: int) -> VertexMap:
     return VertexMap.constant(m + 1, n + 1, n)
 
 
-def star_star_values_and_colorings(m: int, n: int,
-                                   f: Optional[VertexMap] = None
-                                   ) -> tuple[FamilyValue, PackingColoring]:
-    """Star base K_{1,m} with star fiber K_{1,n}, both centers at index 0.
-
-    Without a map: the minimum over all maps is exactly 3, witnessed by the
-    constant-leaf map with hub leaf 3, fiber centers 2, everything else 1.
-
-    With a map: the maximum over all maps lies in the interval
-    [min(m,n)+2, max(m,n)+2], and the returned coloring realizes the proof
-    bound for that map: when the base center maps to the fiber center,
-    leaves are 1 and the m+1 fiber centers take distinct colors 2..m+2;
-    otherwise leaf fibers take center 2 / rest 1 and the hub fiber's
-    connecting vertices take one fresh high color each.
-    """
-    mode, p = "min" if f is None else "max", {"m": m, "n": n}
-    family = FAMILIES["star-star"]
-    return family.value(p, mode), family.construct(p, mode, f)[1]
-
-
 def _star_star_min(prod: ProductGraph) -> PackingColoring:
+    """Star base K_{1,m}, star fiber K_{1,n}, both centers at index 0: the
+    minimum over all maps is exactly 3, witnessed by the constant-leaf map
+    with hub leaf 3, fiber centers 2, everything else 1."""
     m, n = prod.base.order - 1, prod.fiber.order - 1
     colors = [1] * prod.graph.order
     colors[prod.vertex_of(0, n)] = 3
@@ -579,6 +548,11 @@ def _star_star_min(prod: ProductGraph) -> PackingColoring:
 
 
 def _star_star_max(prod: ProductGraph) -> PackingColoring:
+    """The proof bound of the max interval [min(m,n)+2, max(m,n)+2], for
+    any map f: when the base center maps to the fiber center, leaves are 1
+    and the m+1 fiber centers take distinct colors 2..m+2; otherwise leaf
+    fibers take center 2 / rest 1 and the hub fiber's connecting vertices
+    take one fresh high color each."""
     graph, f, m = prod.graph, prod.vmap, prod.base.order - 1
     colors = [1] * graph.order
     if f(0) == 0:
@@ -611,7 +585,8 @@ class Family:
     it has.  A family the paper colors constructively also gives its factor
     graphs, min_map, the one map its min construction colors, and the
     construction per mode: colors[mode](product, cyclic) returns the
-    verified coloring, where cyclic is path-star's cyclic_extension."""
+    verified coloring, where cyclic lets path-star's max construction wrap
+    its pattern."""
 
     params: tuple[str, ...]
     values: dict[str, Callable[[Params], FamilyValue]]
@@ -647,18 +622,6 @@ class Family:
         return prod, color(prod, cyclic)
 
 
-def _colored(name: str, m: int, n: int, f: Optional[VertexMap], mode: str,
-             cyclic: bool = False) -> PackingColoring:
-    if mode not in ("min", "max_construction"):
-        raise ValueError("mode must be 'min' or 'max_construction'")
-    built = FAMILIES[name].construct({"m": m, "n": n},
-                                     "min" if mode == "min" else "max",
-                                     f, cyclic)
-    if built is None:
-        raise ValueError("max_construction needs the map")
-    return built[1]
-
-
 def _sizes(p: Params, m_lo: int, n_lo: int) -> tuple[tuple[str, int], ...]:
     m, n = p["m"], p["n"]
     if m < m_lo or n < n_lo:
@@ -675,11 +638,10 @@ FAMILIES: dict[str, Family] = {
                complete_by_K2_value(p["m"], max(p["m1"], p["m2"]),
                                     min(p["m1"], p["m2"]))
                if "m1" in p or "m2" in p
-               else k2_special_value(p["m"], "fiber_K2", mode))
+               else _k2_fiber_value(p["m"], mode))
         for mode in ("min", "max")}),
     "k2-complete": Family(("n",), {
-        mode: (lambda p, mode=mode: k2_special_value(p["n"], "base_K2", mode))
-        for mode in ("min", "max")}),
+        mode: (lambda p: _k2_base_value(p["n"])) for mode in ("min", "max")}),
     "corona": Family(("n", "p"), {
         mode: (lambda p: corona_table_value(p["n"], p["p"]))
         for mode in ("min", "max")}),

@@ -154,33 +154,35 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms of g as permutation tuples, in lexicographic
     order, by a degree-pruned backtracking search intended for small
-    factors."""
-    n = g.order
-    deg = [g.degree(v) for v in range(n)]
+    factors.  The search keeps its own stack, so its depth is not bounded
+    by the recursion limit."""
+    n, adj = g.order, g.adj
+    nbrs = [set(a) for a in adj]
     out: list[tuple[int, ...]] = []
     image = [-1] * n
-    used = [False] * n
+    inverse = [-1] * n
 
-    def extend(v: int):
-        if v == n:
+    def extensions(v: int):
+        # w can take v iff it is free, has v's degree, and the mapped
+        # vertices among its neighbours are exactly the images of v's
+        # earlier neighbours
+        earlier = [image[u] for u in adj[v] if u < v]
+        for w in (adj[earlier[0]] if earlier else range(n)):
+            if inverse[w] < 0 and len(adj[w]) == len(adj[v]) \
+                    and all(x in nbrs[w] for x in earlier) \
+                    and sum(inverse[x] >= 0 for x in adj[w]) == len(earlier):
+                image[v], inverse[w] = w, v
+                yield w
+                image[v], inverse[w] = -1, -1
+
+    stack = [extensions(0)]
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) == n:
             out.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != g.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
+        else:
+            stack.append(extensions(len(stack)))
     return out
 
 

@@ -40,6 +40,19 @@ def test_product_map_of_wrong_sizes_is_malformed_input(capsys):
     assert "map is 3->3" in capsys.readouterr().err
 
 
+def test_product_constant_outside_the_fiber_is_malformed_input(capsys):
+    # the same exit code as the equivalent --map "3 3: 5 5 5"
+    for value in ("5", "3", "-1"):
+        assert main(["product", "--base", "K3", "--fiber", "K3",
+                     "--map-constant", value]) == 2
+        assert "not a vertex of the 3-vertex fiber" in capsys.readouterr().err
+    assert main(["product", "--base", "K3", "--fiber", "K3",
+                 "--map", "3 3: 5 5 5"]) == 2
+    code, payload = _run(capsys, "product", "--base", "K3", "--fiber", "K3",
+                         "--map-constant", "2")
+    assert code == 0 and payload["map"] == "3 3: 2 2 2"
+
+
 def test_chirho_exact_and_decision(capsys, tmp_path):
     gfile = tmp_path / "p4.txt"
     gfile.write_text(emit_graph_text(path(4)))
@@ -71,6 +84,15 @@ def test_chirho_domain_rejection(capsys, tmp_path):
     gfile = tmp_path / "p41.txt"
     gfile.write_text(emit_graph_text(path(41)))
     assert main(["chirho", str(gfile)]) == 1
+
+
+def test_schirho_reduce_on_a_path_past_the_recursion_limit(capsys):
+    # the symmetry reduction finds the path's two automorphisms without
+    # recursing per vertex; the product is then too large for the solver
+    assert main(["schirho", "--base", "P1050", "--fiber", "P1",
+                 "--reduce"]) == 1
+    assert "order 1050 exceeds exact-search bound 40" in \
+        capsys.readouterr().err
 
 
 def test_schirho(capsys):
@@ -147,6 +169,16 @@ def test_family_golden(capsys, case):
     recorded = GOLDEN[case]
     want = CHANGED.get(case, (recorded["code"], recorded["payload"]))
     assert _run(capsys, *recorded["argv"]) == want
+
+
+def test_family_star_path_max_on_a_long_hub_path(capsys):
+    # three fibers on hub vertices 1 and 12 force the searched hub palette
+    # over 1100 positions, more than the recursion limit
+    code, payload = _run(capsys, "family", "star-path", "--params",
+                         "m=6,n=1100", "--mode", "max", "--map",
+                         "7 1100: 550 1 1 1 12 12 12")
+    assert code == 0
+    assert payload["coloring_k"] == 7 and payload["coloring_verified"]
 
 
 def test_family_rejects_unknown_params(capsys):
@@ -264,6 +296,37 @@ def test_verify_paper_worker_pool(capsys):
     assert code == 0
     criteria = [r["criterion"] for r in payload["results"]]
     assert criteria == list(range(1, 13))  # input order, not completion order
+
+
+def test_verify_paper_pool_has_no_more_workers_than_checks(monkeypatch):
+    # the executor is a stand-in that records its size, so no large pool
+    # is ever started
+    import concurrent.futures
+
+    from sierpack import checks
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [checks.CheckResult(num, "", "pass", 0.0)
+                    for num, _ in args]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    for jobs in (2, 12, 13, 1000):
+        results = checks.run_all("desk", jobs=jobs)
+        assert [r.criterion for r in results] == list(range(1, 13))
+    assert sizes == [2, 12, 12, 12]
 
 
 def test_commands_are_deterministic(capsys, tmp_path):

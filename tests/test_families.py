@@ -1,17 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from sierpack.coloring import verify_packing_coloring
 from sierpack.errors import ConstructionOutOfRange
-from sierpack.families import (SpineDecomposition, color_class_T,
-                               complete_by_K2_value, complete_pair_value,
-                               corona_table_value, k2_special_value,
-                               path_path_min_map, path_star_coloring,
-                               path_star_min_map, spine_decompose,
-                               star_path_coloring, star_path_min_map,
-                               star_star_min_map,
-                               star_star_values_and_colorings)
+from sierpack.families import (FAMILIES, SpineDecomposition,
+                               _hub_path_colors, color_class_T, complete_by_K2_value,
+                               complete_pair_value, corona_table_value,
+                               path_path_min_map, path_star_min_map,
+                               spine_decompose, star_path_min_map,
+                               star_star_min_map)
 from sierpack.graphs import (Graph, complete, corona, is_tree, path, star,
                              tree_isomorphic)
 from sierpack.product import VertexMap, sierpinski_product
@@ -37,14 +36,15 @@ def test_complete_by_k2_values():
 
 
 def test_k2_special_values():
-    assert k2_special_value(2, "base_K2", "min").value == 3
-    assert k2_special_value(2, "base_K2", "max").value == 3
-    assert k2_special_value(4, "fiber_K2", "min").value == 5
-    assert k2_special_value(4, "fiber_K2", "max").value == 5
-    with pytest.raises(ValueError):
-        k2_special_value(2, "fiber_K2", "min")
-    with pytest.raises(ValueError):
-        k2_special_value(1, "base_K2", "min")
+    k2_complete, complete_k2 = FAMILIES["k2-complete"], FAMILIES["complete-k2"]
+    assert k2_complete.value({"n": 2}, "min").value == 3
+    assert k2_complete.value({"n": 2}, "max").value == 3
+    assert complete_k2.value({"m": 4}, "min").value == 5
+    assert complete_k2.value({"m": 4}, "max").value == 5
+    with pytest.raises(ValueError, match="fiber_K2 needs base order m >= 3"):
+        complete_k2.value({"m": 2}, "min")
+    with pytest.raises(ValueError, match="base_K2 needs fiber order n >= 2"):
+        k2_complete.value({"n": 1}, "min")
 
 
 def test_corona_table():
@@ -150,13 +150,18 @@ def test_color_class_t_validates_input():
         color_class_T(SpineDecomposition(g, (0, 1), {}))  # not covering
 
 
+def _construct(name, m, n, mode, f=None, cyclic=False):
+    """The verified coloring of FAMILIES[name]'s construction."""
+    return FAMILIES[name].construct({"m": m, "n": n}, mode, f, cyclic)[1]
+
+
 def test_star_path_min():
-    col = star_path_coloring(3, 4, star_path_min_map(3, 4), mode="min")
+    col = _construct("star-path", 3, 4, "min", star_path_min_map(3, 4))
     prod = sierpinski_product(star(3), path(4), star_path_min_map(3, 4))
     assert set(col.colors) == {1, 2, 3}
     assert verify_packing_coloring(prod.graph, col).ok
     with pytest.raises(ValueError):
-        star_path_coloring(3, 4, VertexMap.constant(4, 4, 1), mode="min")
+        _construct("star-path", 3, 4, "min", VertexMap.constant(4, 4, 1))
 
 
 def test_star_path_max_random():
@@ -165,10 +170,71 @@ def test_star_path_max_random():
         m = rng.randint(3, 10)
         n = rng.randint(2, 10)
         f = VertexMap(m + 1, n, tuple(rng.randrange(n) for _ in range(m + 1)))
-        col = star_path_coloring(m, n, f, mode="max_construction")
+        col = _construct("star-path", m, n, "max", f)
         prod = sierpinski_product(star(m), path(n), f)
         assert col.k <= 7
         assert verify_packing_coloring(prod.graph, col).ok
+
+
+def _recursive_hub_path_colors(n, heavy):
+    """The recursive search _hub_path_colors replaced, kept as an oracle."""
+    for phase in (0, 1):
+        if all(h % 2 == phase for h in heavy):
+            bigs = itertools.cycle((4, 5, 6, 7))
+            return [next(bigs) if h % 2 == phase else 1 for h in range(n)]
+    out = [0] * n
+    last = {4: -100, 5: -100, 6: -100, 7: -100}
+    steps = 0
+
+    def dfs(i):
+        nonlocal steps
+        steps += 1
+        if steps > 200_000:
+            raise ConstructionOutOfRange(
+                "no {1,4,5,6,7} hub coloring found within the search cap")
+        if i == n:
+            return True
+        if i not in heavy and (i == 0 or out[i - 1] != 1):
+            out[i] = 1
+            if dfs(i + 1):
+                return True
+        for c in (4, 5, 6, 7):
+            if i - last[c] > c:
+                out[i] = c
+                prev = last[c]
+                last[c] = i
+                if dfs(i + 1):
+                    return True
+                last[c] = prev
+        out[i] = 0
+        return False
+
+    if not dfs(0):
+        raise ConstructionOutOfRange(
+            "attachments too dense for the {1,4,5,6,7} hub palette")
+    return out
+
+
+def _outcome(search, n, heavy):
+    try:
+        return search(n, heavy)
+    except ConstructionOutOfRange as exc:
+        return str(exc)
+
+
+def test_hub_path_colors_match_the_recursive_search():
+    # the same colors, and the same ConstructionOutOfRange (too dense, or
+    # past the 200,000-step cap) wherever the recursive search raised one
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 200)
+        density = rng.choice((0.05, 0.2, 0.5))
+        heavy = {h for h in range(n) if rng.random() < density}
+        want = _outcome(_recursive_hub_path_colors, n, heavy)
+        assert _outcome(_hub_path_colors, n, heavy) == want
+        seen.add(want[:2] if isinstance(want, str) else "colors")
+    assert seen == {"colors", "at", "no"}
 
 
 def test_star_path_contains_induced_corona():
@@ -191,7 +257,7 @@ def test_star_path_contains_induced_corona():
 
 
 def test_path_star_min_reproduces_printed_figure():
-    col = path_star_coloring(14, 3, mode="min")
+    col = _construct("path-star", 14, 3, "min")
     expected = []
     for i in range(1, 15):
         expected.extend([3 if i % 4 == 1 else 2, 1, 1, 1])
@@ -204,7 +270,7 @@ def test_path_star_min_reproduces_printed_figure():
 
 def test_path_star_min_various_lengths():
     for m in (2, 3, 7, 11, 15, 19):
-        col = path_star_coloring(m, 4, mode="min")
+        col = _construct("path-star", m, 4, "min")
         assert col.k == 3
 
 
@@ -214,27 +280,27 @@ def test_path_star_max():
         m = rng.randint(2, 20)
         n = rng.randint(3, 6)
         f = VertexMap(m, n + 1, tuple(rng.randrange(n + 1) for _ in range(m)))
-        col = path_star_coloring(m, n, f, mode="max_construction")
+        col = _construct("path-star", m, n, "max", f)
         prod = sierpinski_product(path(m), star(n), f)
         assert col.k <= 9
         assert verify_packing_coloring(prod.graph, col).ok
     f = VertexMap(2, 4, (1, 3))
-    assert path_star_coloring(2, 3, f, mode="max_construction").k <= 9
+    assert _construct("path-star", 2, 3, "max", f).k <= 9
 
 
 def test_path_star_pattern_range():
     rng = random.Random(35)
     f = VertexMap(40, 4, tuple(rng.randrange(4) for _ in range(40)))
     with pytest.raises(ConstructionOutOfRange):
-        path_star_coloring(40, 3, f, mode="max_construction")
-    col = path_star_coloring(40, 3, f, mode="max_construction",
-                             cyclic_extension=True)
+        _construct("path-star", 40, 3, "max", f)
+    col = _construct("path-star", 40, 3, "max", f, cyclic=True)
     prod = sierpinski_product(path(40), star(3), f)
     assert verify_packing_coloring(prod.graph, col).ok
 
 
 def test_star_star_min():
-    value, col = star_star_values_and_colorings(3, 3)
+    value = FAMILIES["star-star"].value({"m": 3, "n": 3}, "min")
+    col = _construct("star-star", 3, 3, "min")
     assert value.value == 3 and set(col.colors) == {1, 2, 3}
     prod = sierpinski_product(star(3), star(3), star_star_min_map(3, 3))
     assert verify_packing_coloring(prod.graph, col).ok
@@ -242,13 +308,16 @@ def test_star_star_min():
 
 def test_star_star_proof_cases():
     # base center onto fiber center: distinct colors on the m+1 centers
+    star_star = FAMILIES["star-star"]
     f = VertexMap(5, 4, (0, 1, 0, 2, 3))
-    value, col = star_star_values_and_colorings(4, 3, f)
+    value = star_star.value({"m": 4, "n": 3}, "max")
+    col = _construct("star-star", 4, 3, "max", f)
     assert (value.lo, value.hi) == (5, 6)
     assert col.k <= 6
     # base center off the fiber center, not surjective
     f = VertexMap(4, 5, (2, 1, 1, 3))
-    value, col = star_star_values_and_colorings(3, 4, f)
+    value = star_star.value({"m": 3, "n": 4}, "max")
+    col = _construct("star-star", 3, 4, "max", f)
     assert (value.lo, value.hi) == (5, 6)
     assert col.k <= 6
     rng = random.Random(36)
@@ -256,7 +325,7 @@ def test_star_star_proof_cases():
         m, n = rng.randint(3, 5), rng.randint(3, 5)
         f = VertexMap(m + 1, n + 1,
                       tuple(rng.randrange(n + 1) for _ in range(m + 1)))
-        _, col = star_star_values_and_colorings(m, n, f)
+        col = _construct("star-star", m, n, "max", f)
         prod = sierpinski_product(star(m), star(n), f)
         assert col.k <= max(m, n) + 2
         assert verify_packing_coloring(prod.graph, col).ok

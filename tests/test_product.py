@@ -142,9 +142,54 @@ def test_factor_automorphisms_give_isomorphic_products():
 def test_automorphism_groups():
     assert len(automorphisms(complete(4))) == 24
     assert len(automorphisms(path(4))) == 2
+    assert len(automorphisms(path(1500))) == 2  # deeper than the recursion limit
     assert len(automorphisms(star(3))) == 6
     bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
     assert len(automorphisms(bull)) == 2
+
+
+def _recursive_automorphisms(g):
+    """The recursive search automorphisms replaced, kept as an oracle."""
+    n = g.order
+    deg = [g.degree(v) for v in range(n)]
+    out = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            out.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or deg[w] != deg[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if g.has_edge(u, v) != g.has_edge(image[u], w):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                extend(v + 1)
+                used[w] = False
+                image[v] = -1
+
+    extend(0)
+    return out
+
+
+def test_automorphisms_match_the_recursive_search():
+    rng = random.Random(23)
+    graphs = [make(n) for make in (complete, path, star) for n in range(1, 6)]
+    graphs += [path(n) for n in range(6, 9)]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        graphs.append(Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < rng.choice((0.2, 0.5, 0.8))]))
+    for g in graphs:
+        assert automorphisms(g) == _recursive_automorphisms(g)
 
 
 def test_enumerate_counts_and_order():
