@@ -403,3 +403,22 @@ def test_recognize_golden(capsys, tmp_path, case):
         assert payload[key] == recorded["payload"][key]
     assert sorted(payload["diagnostics"]) == \
         sorted(recorded["payload"]["diagnostics"])
+
+
+# product outputs pinned byte for byte in product_golden.json: stdout with
+# the graph inline, and stdout, --out and --dot of a run writing both files
+PRODUCT_GOLDEN = json.loads(
+    Path(__file__).with_name("product_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_GOLDEN))
+def test_product_golden(capsys, tmp_path, case):
+    recorded = PRODUCT_GOLDEN[case]
+    assert main(["product", *recorded["argv"]]) == 0
+    assert capsys.readouterr().out == recorded["stdout"]
+    out, dot = tmp_path / "p.txt", tmp_path / "p.dot"
+    assert main(["product", *recorded["argv"],
+                 "--out", str(out), "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == recorded["stdout_with_out"]
+    assert out.read_text() == recorded["out"]
+    assert dot.read_text() == recorded["dot"]
