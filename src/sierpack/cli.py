@@ -112,7 +112,9 @@ def _cmd_product(args) -> int:
             fh.write(emit_graph_text(prod.graph))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(emit_dot(prod.graph, "product"))
+            fh.write(emit_dot(prod.graph, "product", [
+                f"({prod.base_of(v)},{prod.fiber_of(v)})"
+                for v in range(prod.graph.order)]))
     _emit({"order": prod.graph.order, "size": prod.graph.size,
            "connecting_edges": len(prod.connecting),
            "map": vmap.to_text(),
@@ -269,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--map", help="vertex map for the construction modes")
     p.add_argument("--cyclic", action="store_true",
-                   help="allow cyclic extension of the 64-entry pattern")
+                   help="allow cyclic extension of the 64-entry pattern; "
+                        "only the path-star --mode max construction reads it")
     p.add_argument("--emit-coloring", help="write the witness coloring here")
     p.add_argument("--json", help="also write the result JSON here")
     p.set_defaults(fn=_cmd_family)

@@ -7,6 +7,8 @@ a single newline.  parse and emit are mutually inverse on canonical files.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 from .errors import InputFormatError
 from .graphs import Graph
 
@@ -90,10 +92,12 @@ def sniff_parse(text: str) -> Graph:
     return parse_graph6(first)
 
 
-def emit_dot(g: Graph, name: str = "g") -> str:
+def emit_dot(g: Graph, name: str = "g",
+             labels: Optional[Sequence[str]] = None) -> str:
+    """DOT text of g; vertex v is labelled labels[v], or v without them."""
     lines = [f"graph {name} {{"]
     for v in range(g.order):
-        label = g.labels[v] if g.labels is not None else str(v)
+        label = labels[v] if labels is not None else str(v)
         lines.append(f'  {v} [label="{label}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")

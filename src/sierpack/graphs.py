@@ -3,14 +3,15 @@ and tree machinery the rest of the package is built on.
 
 Graphs are immutable after construction and all operations here are pure
 functions of their inputs.  The per-graph distance balls behind
-``distances`` are cached and grown in place without a lock: the package
-starts no threads, and parallel work (``verify-paper --jobs``) runs in
-separate processes.
+``distances`` are cached and shared between structurally equal graphs, so
+each ``Balls`` grows its rows under its own lock; a row already grown is
+read without it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -27,21 +28,17 @@ class Graph:
     """Immutable undirected simple graph.
 
     Vertices are the integers 0..order-1.  ``adj[v]`` is the sorted tuple of
-    neighbors of ``v``.  ``labels`` is an optional per-vertex text label and
-    plays no role in any algorithm.
+    neighbors of ``v``.
     """
 
     order: int
     adj: tuple[tuple[int, ...], ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("graph must have at least one vertex")
         if len(self.adj) != self.order:
             raise ValueError("adjacency length does not match order")
-        if self.labels is not None and len(self.labels) != self.order:
-            raise ValueError("label count does not match order")
         for v, nbrs in enumerate(self.adj):
             if tuple(sorted(set(nbrs))) != nbrs:
                 raise ValueError(f"adjacency of {v} is not a sorted set")
@@ -54,8 +51,7 @@ class Graph:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
     @staticmethod
-    def from_edges(order: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[Iterable[str]] = None) -> "Graph":
+    def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects loops and duplicates."""
         nbrs: list[set[int]] = [set() for _ in range(order)]
         for u, v in edges:
@@ -67,9 +63,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(order,
-                     tuple(tuple(sorted(s)) for s in nbrs),
-                     None if labels is None else tuple(labels))
+        return Graph(order, tuple(tuple(sorted(s)) for s in nbrs))
 
     @property
     def size(self) -> int:
@@ -92,13 +86,7 @@ class Graph:
     def relabel(self, perm: dict[int, int] | list[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
         edges = [(perm[u], perm[v]) for u, v in self.edges()]
-        labels = None
-        if self.labels is not None:
-            new = [""] * self.order
-            for v in range(self.order):
-                new[perm[v]] = self.labels[v]
-            labels = new
-        return Graph.from_edges(self.order, edges, labels)
+        return Graph.from_edges(self.order, edges)
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in the
@@ -108,8 +96,7 @@ class Graph:
         edges = [(index[u], index[v])
                  for u in verts for v in self.adj[u]
                  if v in index and index[u] < index[v]]
-        labels = None if self.labels is None else [self.labels[v] for v in verts]
-        return Graph.from_edges(len(verts), edges, labels)
+        return Graph.from_edges(len(verts), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +148,16 @@ class Balls:
     vertices within distance r of v (none in another component).  ``ball``
     holds the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w]
     over the neighbours w of v, is grown only when asked for, so memory
-    follows the largest radius used, not the diameter.  ``capacity``
-    memoizes alpha_c of the same graph (coloring.packing_capacity)."""
+    follows the largest radius used, not the diameter.  Rows are grown
+    under ``lock``, as the object may be shared between threads.
+    ``capacity`` memoizes alpha_c of the same graph
+    (coloring.packing_capacity)."""
 
     def __init__(self, g: Graph):
         self.adj = g.adj
         self.ball = [tuple(1 << v for v in range(g.order))]
         self.last = False  # set once a grown row equals the one before it
+        self.lock = threading.Lock()
         self.connected = is_connected(g)
         self.capacity: dict[int, int] = {}
 
@@ -184,12 +174,14 @@ class Balls:
     def within(self, r: int) -> tuple[int, ...]:
         """Row r; past the largest eccentricity every row is the last."""
         rows = self.ball
-        while r >= len(rows) and not self.last:
-            nxt = self._grow(rows[-1])
-            if nxt == rows[-1]:
-                self.last = True
-            else:
-                rows.append(nxt)
+        if r >= len(rows) and not self.last:
+            with self.lock:
+                while r >= len(rows) and not self.last:
+                    nxt = self._grow(rows[-1])
+                    if nxt == rows[-1]:
+                        self.last = True
+                    else:
+                        rows.append(nxt)
         return rows[min(r, len(rows) - 1)]
 
     @property
@@ -199,9 +191,11 @@ class Balls:
         not kept."""
         if not self.connected:
             return math.inf
-        r = len(self.ball) - 1
-        row = self.ball[-1]
-        if not self.last:
+        with self.lock:
+            r = len(self.ball) - 1
+            row = self.ball[-1]
+            last = self.last
+        if not last:
             while (nxt := self._grow(row)) != row:
                 row = nxt
                 r += 1
@@ -448,24 +442,17 @@ def tree_canonical_form(g: Graph) -> str:
 
 
 def tree_isomorphic(t1: Graph, t2: Graph) -> bool:
-    """True iff two trees are isomorphic (AHU labels at their centers)."""
-    centers = [tree_centers(t1), tree_centers(t2)]
-    if t1.order != t2.order or sorted(
-            t1.degree(v) for v in range(t1.order)) != sorted(
-            t2.degree(v) for v in range(t2.order)):
-        return False
-    table: dict = {}
-    forms = [min(_ahu_labels(t.adj, c, table, bytes(t.order), 0)[0][c]
-                 for c in cs)
-             for t, cs in zip((t1, t2), centers)]
-    return forms[0] == forms[1]
+    """True iff two trees are isomorphic."""
+    return tree_iso_map(t1, t2) is not None
 
 
 def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
-    """An isomorphism between free trees as a vertex map, or None."""
+    """An isomorphism between free trees as a vertex map, or None (AHU
+    labels at their centers)."""
     c1 = tree_centers(t1)
     c2 = tree_centers(t2)
-    if t1.order != t2.order or len(c1) != len(c2):
+    if t1.order != t2.order or len(c1) != len(c2) or sorted(
+            map(len, t1.adj)) != sorted(map(len, t2.adj)):
         return None
     table: dict = {}
     lab1 = _ahu_labels(t1.adj, c1[0], table, bytes(t1.order), 0)

@@ -90,15 +90,13 @@ class VertexMap:
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A Sierpinski product together with its factor structure and per-edge
-    Type-1/Type-2 tags."""
+    """A Sierpinski product together with its factors and map, from which
+    each edge's Type-1/Type-2 kind follows."""
 
     graph: Graph
     base: Graph
     fiber: Graph
     vmap: VertexMap
-    connecting: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    # each entry: ((u, v) product edge with u < v, (g, g') originating base edge)
 
     def vertex_of(self, g: int, h: int) -> int:
         return g * self.fiber.order + h
@@ -109,15 +107,19 @@ class ProductGraph:
     def fiber_of(self, v: int) -> int:
         return v % self.fiber.order
 
+    @property
+    def connecting(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """The Type-2 edges in base edge order, each as ((u, v) product
+        edge, (g, g') originating base edge); g < g' gives u < v."""
+        f = self.vmap
+        return tuple(((self.vertex_of(g1, f(g2)), self.vertex_of(g2, f(g1))),
+                      (g1, g2)) for g1, g2 in self.base.edges())
+
     def edge_kind(self, u: int, v: int) -> EdgeKind:
         if not self.graph.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge of the product")
-        e = (u, v) if u < v else (v, u)
-        return EdgeKind.TYPE2 if e in self._connecting_set else EdgeKind.TYPE1
-
-    @property
-    def _connecting_set(self):
-        return frozenset(e for e, _ in self.connecting)
+        return EdgeKind.TYPE2 if self.base_of(u) != self.base_of(v) \
+            else EdgeKind.TYPE1
 
 
 def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
@@ -132,20 +134,14 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
         off = gv * nh
         for (a, b) in h.edges():
             edges.append((off + a, off + b))
-    connecting = []
     for (g1, g2) in g.edges():
-        u = g1 * nh + f(g2)
-        v = g2 * nh + f(g1)
-        e = (u, v) if u < v else (v, u)
-        edges.append(e)
-        connecting.append((e, (g1, g2)))
-    labels = tuple(f"({gv},{hv})" for gv in range(g.order) for hv in range(nh))
-    graph = Graph.from_edges(g.order * nh, edges, labels)
+        edges.append((g1 * nh + f(g2), g2 * nh + f(g1)))
+    graph = Graph.from_edges(g.order * nh, edges)
     if graph.size != g.order * h.size + g.size:
         raise ConstructionError(
             f"product has {graph.size} edges, expected "
             f"{g.order * h.size + g.size}")
-    return ProductGraph(graph, g, h, f, tuple(connecting))
+    return ProductGraph(graph, g, h, f)
 
 
 # ---------------------------------------------------------------------------

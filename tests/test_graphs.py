@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -60,6 +62,45 @@ def test_diameter_keeps_no_rows():
     rows = len(distances(g).ball)
     assert diameter(g) == 399
     assert len(distances(g).ball) == rows
+
+
+def _from_threads(call, count=4):
+    # start count threads running call together; never more than four
+    barrier = threading.Barrier(count)
+
+    def run():
+        barrier.wait()
+        call()
+    threads = [threading.Thread(target=run) for _ in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
+def test_balls_grown_from_concurrent_threads_stay_right():
+    # threads growing the same shared rows must not stop the growth early
+    for _ in range(20):
+        balls = Balls(path(2000))
+        _from_threads(lambda: balls.within(30))
+        assert balls.within(30)[0] == (1 << 31) - 1
+        assert len(balls.ball) == 31
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            balls = Balls(path(60))
+            seen = []
+
+            def both():
+                balls.within(40)
+                seen.append(balls.diameter)
+            _from_threads(both)
+            assert seen == [59] * 4
+            assert balls.within(100)[0] == (1 << 60) - 1
+            assert len(balls.ball) == 60
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_triangle_inequality_random():

@@ -70,6 +70,27 @@ def test_direct_rule_construction_agrees():
     assert prod.graph.size == 8 and prod.graph.order == 9
 
 
+def _stored_connecting(g, h, f):
+    # the construction loop that built and stored the connecting edges
+    # before they were derived from the base and the map
+    nh = h.order
+    connecting = []
+    for (g1, g2) in g.edges():
+        u = g1 * nh + f(g2)
+        v = g2 * nh + f(g1)
+        e = (u, v) if u < v else (v, u)
+        connecting.append((e, (g1, g2)))
+    return tuple(connecting)
+
+
+def _random_connected(n, rng):
+    # a random tree plus each other pair with probability 1/3
+    edges = set(random_tree(n, rng).edges())
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in edges and rng.random() < 1 / 3}
+    return Graph.from_edges(n, edges)
+
+
 def test_connecting_edge_counts():
     for n in (2, 3, 5):
         prod = sierpinski_product(complete(2), complete(n),
@@ -80,6 +101,26 @@ def test_connecting_edge_counts():
     for edge, base_edge in prod.connecting:
         assert prod.edge_kind(*edge) is EdgeKind.TYPE2
         assert base_edge in set(path(4).edges())
+    rng = random.Random(73)
+    for _ in range(100):
+        g, h = (rng.choice((random_tree, _random_connected))(
+            rng.randint(1, 6), rng) for _ in range(2))
+        f = VertexMap(g.order, h.order,
+                      tuple(rng.randrange(h.order) for _ in range(g.order)))
+        prod = sierpinski_product(g, h, f)
+        oracle = _stored_connecting(g, h, f)
+        assert prod.connecting == oracle
+        type2 = {e for e, _ in oracle}
+        kinds = [prod.edge_kind(u, v) for u, v in prod.graph.edges()]
+        assert kinds == [EdgeKind.TYPE2 if e in type2 else EdgeKind.TYPE1
+                         for e in prod.graph.edges()]
+        assert kinds.count(EdgeKind.TYPE2) == g.size
+        non_edges = [(u, v) for u in range(prod.graph.order)
+                     for v in range(prod.graph.order)
+                     if not prod.graph.has_edge(u, v)]
+        u, v = rng.choice(non_edges)
+        with pytest.raises(ValueError):
+            prod.edge_kind(u, v)
 
 
 def test_fibers_are_copies_of_the_fiber_graph():
