@@ -71,8 +71,8 @@ def test_direct_rule_construction_agrees():
 
 
 def _stored_connecting(g, h, f):
-    # the construction loop that built and stored the connecting edges
-    # before they were derived from the base and the map
+    # oracle: each base edge's connecting edge built straight from the
+    # edge rule, independent of ProductGraph.connecting
     nh = h.order
     connecting = []
     for (g1, g2) in g.edges():

@@ -21,7 +21,7 @@ def test_library_block_runs():
     assert names["coloring"].k <= 7
 
 
-def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+def test_command_line_block_runs(tmp_path, monkeypatch):
     text = README.read_text()
     section = text[text.index("## Command line"):]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
@@ -31,4 +31,3 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
     for argv in lines:
         assert argv[0] == "sierpack"
         assert main(argv[1:]) == 0, argv
-    capsys.readouterr()
