@@ -56,11 +56,19 @@ def _read_graph(filename: str) -> Graph:
         raise InputFormatError(f"cannot read graph {filename!r}: {exc}") from None
 
 
+def _write(filename: str, text: str) -> None:
+    """Write an output file; an unwritable path is malformed input."""
+    try:
+        with open(filename, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {filename!r}: {exc}") from None
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     print(text)
 
 
@@ -82,12 +90,16 @@ def _default_budget() -> Optional[int]:
     return _integer(raw, "SIERPACK_NODE_BUDGET") if raw else None
 
 
+def _positive(value: int, what: str) -> int:
+    if value < 1:
+        raise InputFormatError(f"{what} must be positive")
+    return value
+
+
 def _checked_budget(budget: Optional[int]) -> Optional[int]:
     if budget is None:
         budget = _default_budget()
-    if budget is not None and budget < 1:
-        raise InputFormatError("budgets must be positive")
-    return budget
+    return budget if budget is None else _positive(budget, "budgets")
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +120,11 @@ def _cmd_product(args) -> int:
         raise InputFormatError("product needs --map or --map-constant")
     prod = sierpinski_product(base, fiber, vmap)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit_graph_text(prod.graph))
+        _write(args.out, emit_graph_text(prod.graph))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(emit_dot(prod.graph, "product", [
-                f"({prod.base_of(v)},{prod.fiber_of(v)})"
-                for v in range(prod.graph.order)]))
+        _write(args.dot, emit_dot(prod.graph, "product", [
+            f"({prod.base_of(v)},{prod.fiber_of(v)})"
+            for v in range(prod.graph.order)]))
     _emit({"order": prod.graph.order, "size": prod.graph.size,
            "connecting_edges": len(prod.connecting),
            "map": vmap.to_text(),
@@ -151,7 +161,8 @@ def _cmd_schirho(args) -> int:
     budget = _checked_budget(args.budget)
     result = sierpinski_chi(base, fiber, args.mode,
                             reduce_symmetry=args.reduce,
-                            enum_bound=args.enum_bound,
+                            enum_bound=_positive(args.enum_bound,
+                                                 "--enum-bound"),
                             node_budget=budget,
                             max_order=args.max_order)
     payload = {"mode": result.mode, "value": result.value,
@@ -193,8 +204,7 @@ def _cmd_family(args) -> int:
         payload["coloring_k"] = witness["k"]
         payload["coloring_verified"] = witness["verified"]
         if args.emit_coloring:
-            with open(args.emit_coloring, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(witness, indent=2) + "\n")
+            _write(args.emit_coloring, json.dumps(witness, indent=2) + "\n")
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -214,7 +224,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    results = checks.run_all(args.scale, jobs=args.jobs)
+    results = checks.run_all(args.scale, jobs=_positive(args.jobs, "--jobs"))
     payload = checks.report_json(results, args.scale)
     _emit(payload, args.json)
     return EXIT_OK if payload["summary"]["fail"] == 0 else EXIT_DOMAIN
@@ -257,7 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber", required=True)
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--reduce", action="store_true",
-                   help="enumerate one map per symmetry orbit")
+                   help="count one map per symmetry orbit in explored_maps; "
+                        "the maps solved and the answer are the same "
+                        "without it")
     p.add_argument("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--max-order", type=int, default=DEFAULT_SOLVER_BOUND)

@@ -18,10 +18,19 @@ the slow case):
   improves iff all are UNSAT, in which case the decisions go on above best
   to the first SAT, which gives the value and witness.
 
-A map that improves is therefore never solved a second time.  Each screen
-call is a call chi_rho_exact makes on that map with the same per-call node
-budget, so a run that completes without screening completes with
-screening, with the same value, witness map, witness coloring and explored
+A map that improves is therefore never solved a second time.
+
+Without reduce_symmetry, a map that is not the lexicographic minimum of its
+orbit under f -> sigma o f o pi is settled with no product and no decision.
+Maps come in lexicographic order, so its orbit's minimum came earlier; the
+two products are isomorphic, and best only moves toward the optimum, so it
+cannot beat best.  The unreduced run therefore decides exactly the maps the
+reduced run decides, and differs from it only in explored.
+
+Each screen call is a call chi_rho_exact makes on that map with the same
+per-call node budget, and an orbit skip makes none, so a run that
+completes when every map is solved in full completes with the screens and
+skips, with the same value, witness map, witness coloring and explored
 count; under a budget it gets at least as far.
 """
 
@@ -202,17 +211,21 @@ def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
     auts_g = automorphisms(g)
     auts_h = automorphisms(h)
     for image in itertools.product(range(h.order), repeat=g.order):
-        minimal = True
-        for pi in auts_g:
-            for sigma in auts_h:
-                cand = tuple(sigma[image[pi[v]]] for v in range(g.order))
-                if cand < image:
-                    minimal = False
-                    break
-            if not minimal:
-                break
-        if minimal:
+        if _orbit_minimal(image, auts_g, auts_h):
             yield VertexMap(g.order, h.order, image)
+
+
+def _orbit_minimal(image: tuple[int, ...], auts_g: list[tuple[int, ...]],
+                   auts_h: list[tuple[int, ...]]) -> bool:
+    """Whether no sigma o f o pi (pi in auts_g, sigma in auts_h) has a
+    lexicographically smaller image than f; stops at the first that does.
+    Any subsets of the two groups give a sound, if weaker, test."""
+    for pi in auts_g:
+        moved = tuple(image[v] for v in pi)
+        for sigma in auts_h:
+            if tuple(map(sigma.__getitem__, moved)) < image:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +281,11 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     map and an optimal coloring for it.
 
     The witness is the first map, in enumeration order, that attains the
-    optimum.  Once a best value exists, every map goes through the screen
-    of _improvement, which hands back the map's value and witness when it
-    beats the best.  explored counts the settled maps, screened out or
-    solved.  Budget exhaustion (enumeration bound or solver node
+    optimum.  Once a best value exists, a map whose orbit was already
+    settled is skipped, and every other map goes through the screen of
+    _improvement, which hands back the map's value and witness when it
+    beats the best.  explored counts the settled maps, skipped, screened
+    out or solved.  Budget exhaustion (enumeration bound or solver node
     budget) yields a partial result with complete=False and the explored
     count.
     """
@@ -283,8 +297,17 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     explored = 0
     floor = _complete_pair_floor(g, h) if mode == "min" else None
     complete_run = True
+    auts = None
     try:
         for f in enumerate_maps(g, h, reduce_symmetry, enum_bound):
+            if best is not None and not reduce_symmetry:
+                # the groups are built past the enumeration bound and the
+                # first map's solve, so neither failure pays for them
+                auts = auts or (automorphisms(g), automorphisms(h))
+                if not _orbit_minimal(f.image, *auts):
+                    # its orbit's lexmin came earlier and was settled
+                    explored += 1
+                    continue
             x = sierpinski_product(g, h, f).graph
             if best is None:
                 solved = chi_rho_exact(x, node_budget=node_budget,

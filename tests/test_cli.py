@@ -341,6 +341,45 @@ def test_commands_are_deterministic(capsys, tmp_path):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("argv", [
+    ["schirho", "--base", "K3", "--fiber", "K3", "--json"],
+    ["chirho", "GRAPH", "--json"],
+    ["product", "--base", "K2", "--fiber", "K2", "--map-constant", "0",
+     "--out"],
+    ["product", "--base", "K2", "--fiber", "K2", "--map-constant", "0",
+     "--dot"],
+    ["family", "star-path", "--params", "m=4,n=5", "--emit-coloring"],
+    ["family", "corona", "--params", "n=5,p=2", "--json"],
+    ["recognize", "GRAPH", "--json"],
+    ["verify-paper", "--json"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_unwritable_output_path_is_malformed_input(capsys, tmp_path, argv):
+    gfile = tmp_path / "p4.txt"
+    gfile.write_text(emit_graph_text(path(4)))
+    target = tmp_path / "no-such-dir" / "out"
+    argv = [str(gfile) if a == "GRAPH" else a for a in argv] + [str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {str(target)!r}" in captured.err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["schirho", "--base", "K3", "--fiber", "K3", "--enum-bound", "0"],
+    ["schirho", "--base", "K3", "--fiber", "K3", "--enum-bound", "-5"],
+    ["schirho", "--base", "K3", "--fiber", "K3", "--budget", "0"],
+    ["verify-paper", "--jobs", "0"],
+    ["verify-paper", "--jobs", "-2"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_positive_bound_is_malformed_input(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]} must be positive" in captured.err \
+        or "budgets must be positive" in captured.err
+
+
 def test_missing_graph_file_is_malformed_input(tmp_path):
     import os
     import subprocess

@@ -7,6 +7,7 @@ from sierpack import product
 from sierpack.coloring import chi_rho_exact
 from sierpack.errors import (EnumerationBudgetExceeded, FactorMismatchError,
                              InputFormatError, SearchBudgetExceeded)
+from sierpack.families import complete_pair_value
 from sierpack.graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, complete,
                              diameter, path, random_tree, star,
                              tree_isomorphic)
@@ -334,20 +335,64 @@ def test_sierpinski_chi_matches_reference_loop(mode, reduce_symmetry):
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
-def test_budget_never_loses_ground(mode):
+@pytest.mark.parametrize("reduce_symmetry", [False, True])
+def test_budget_never_loses_ground(mode, reduce_symmetry):
     # every screen call is a call the plain loop makes with the same
-    # per-call budget, so the screened run gets at least as far
+    # per-call budget, and a map skipped for its orbit makes none, so the
+    # screened run gets at least as far
     for g in FACTORS[1:]:
         for h in FACTORS[1:]:
             for budget in BUDGETS:
                 got = _summary(sierpinski_chi(g, h, mode,
-                                              reduce_symmetry=True,
+                                              reduce_symmetry=reduce_symmetry,
                                               node_budget=budget))
-                want = _reference_chi(g, h, mode, reduce_symmetry=True,
+                want = _reference_chi(g, h, mode,
+                                      reduce_symmetry=reduce_symmetry,
                                       node_budget=budget)
                 if want[4]:
                     assert got == want, (g, h, budget)
                 assert got[3] >= want[3], (g, h, budget)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_unreduced_run_builds_only_orbit_representatives(monkeypatch, mode):
+    # a map whose orbit's lexmin came earlier is settled without a
+    # product, so an unreduced run builds the products the reduced run
+    # builds, in the same order
+    built = []
+    build = product.sierpinski_product
+
+    def recording(g, h, f):
+        built.append(f.image)
+        return build(g, h, f)
+
+    monkeypatch.setattr(product, "sierpinski_product", recording)
+    for g in FACTORS:
+        for h in FACTORS:
+            reps = {f.image for f in enumerate_maps(g, h,
+                                                    reduce_symmetry=True)}
+            built.clear()
+            full = sierpinski_chi(g, h, mode)
+            full_built = list(built)
+            built.clear()
+            red = sierpinski_chi(g, h, mode, reduce_symmetry=True)
+            assert set(full_built) <= reps, (g, h)
+            assert full_built == built, (g, h)
+            assert _summary(full)[:3] == _summary(red)[:3], (g, h)
+
+
+def test_unreduced_complete_pair_max():
+    # 3125 maps, 6 orbits: the parent solved every map (minutes)
+    result = sierpinski_chi(complete(5), complete(5), "max")
+    assert result.complete and result.explored == 3125
+    assert result.value == complete_pair_value(5, 5, "max").value
+
+
+def test_unreduced_path_complete_max_matches_reduced():
+    full = sierpinski_chi(path(4), complete(4), "max")
+    red = sierpinski_chi(path(4), complete(4), "max", reduce_symmetry=True)
+    assert full.complete and full.explored == 256
+    assert (full.value, full.witness_map) == (red.value, red.witness_map)
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
