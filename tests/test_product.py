@@ -334,8 +334,10 @@ def test_sierpinski_chi_matches_reference_loop(mode, reduce_symmetry):
             assert _summary(got) == want, (g, h)
 
 
-@pytest.mark.parametrize("mode", ["min", "max"])
-@pytest.mark.parametrize("reduce_symmetry", [False, True])
+@pytest.mark.parametrize("mode, reduce_symmetry", [
+    pytest.param(mode, reduce_symmetry,
+                 id=mode if reduce_symmetry else f"{mode}-unreduced")
+    for reduce_symmetry in (True, False) for mode in ("min", "max")])
 def test_budget_never_loses_ground(mode, reduce_symmetry):
     # every screen call is a call the plain loop makes with the same
     # per-call budget, and a map skipped for its orbit makes none, so the
@@ -382,7 +384,7 @@ def test_unreduced_run_builds_only_orbit_representatives(monkeypatch, mode):
 
 
 def test_unreduced_complete_pair_max():
-    # 3125 maps, 6 orbits: the parent solved every map (minutes)
+    # 3125 maps in 7 orbits; solving every map would take minutes
     result = sierpinski_chi(complete(5), complete(5), "max")
     assert result.complete and result.explored == 3125
     assert result.value == complete_pair_value(5, 5, "max").value
