@@ -20,12 +20,15 @@ the slow case):
 
 A map that improves is therefore never solved a second time.
 
-Without reduce_symmetry, a map that is not the lexicographic minimum of its
-orbit under f -> sigma o f o pi is settled with no product and no decision.
-Maps come in lexicographic order, so its orbit's minimum came earlier; the
-two products are isomorphic, and best only moves toward the optimum, so it
-cannot beat best.  The unreduced run therefore decides exactly the maps the
-reduced run decides, and differs from it only in explored.
+A map that is not the lexicographic minimum of its orbit under
+f -> sigma o f o pi is settled with no product and no decision.  Maps come
+in lexicographic order, so its orbit's minimum came earlier; the two
+products are isomorphic, and best only moves toward the optimum, so it
+cannot beat best.  The test uses each factor's automorphisms up to the
+number of maps (any subsets of the groups keep it sound), so a factor with
+a huge group costs no more than its maps.  With or without reduce_symmetry
+the run decides the same maps; reduce_symmetry only leaves the skipped
+maps out of explored.
 
 Each screen call is a call chi_rho_exact makes on that map with the same
 per-call node budget, and an orbit skip makes none, so a run that
@@ -156,14 +159,15 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
 # ---------------------------------------------------------------------------
 # automorphisms and map enumeration
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of g as permutation tuples, in lexicographic
-    order, by a degree-pruned backtracking search intended for small
-    factors.  The search keeps its own stack, so its depth is not bounded
-    by the recursion limit."""
+def automorphisms(g: Graph, limit: Optional[int] = None
+                  ) -> list[tuple[int, ...]]:
+    """The automorphisms of g as permutation tuples in lexicographic order,
+    all of them or the first limit, by a degree-pruned backtracking search
+    intended for small factors.  The search keeps its own stack, so its
+    depth is not bounded by the recursion limit, and it stops once limit
+    automorphisms are found."""
     n, adj = g.order, g.adj
     nbrs = [set(a) for a in adj]
-    out: list[tuple[int, ...]] = []
     image = [-1] * n
     inverse = [-1] * n
 
@@ -180,39 +184,48 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
                 yield w
                 image[v], inverse[w] = -1, -1
 
-    stack = [extensions(0)]
-    while stack:
-        if next(stack[-1], None) is None:
-            stack.pop()
-        elif len(stack) == n:
-            out.append(tuple(image))
-        else:
-            stack.append(extensions(len(stack)))
-    return out
+    def search():
+        stack = [extensions(0)]
+        while stack:
+            if next(stack[-1], None) is None:
+                stack.pop()
+            elif len(stack) == n:
+                yield tuple(image)
+            else:
+                stack.append(extensions(len(stack)))
+
+    return list(itertools.islice(search(), limit))
 
 
 def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND) -> Iterator[VertexMap]:
     """All maps V(G) -> V(H) in lexicographic order of their image tuples.
 
-    With reduce_symmetry, one lexicographically minimal representative per
-    orbit of the action f -> sigma o f o pi (sigma an automorphism of H, pi
-    of G) is yielded; products of omitted maps are isomorphic to the
-    representative's, via (g, h) -> (pi(g), sigma(h)).
+    With reduce_symmetry, only the maps that _orbit_minimal finds minimal
+    under _symmetries are yielded: one lexicographically minimal
+    representative per orbit of the action f -> sigma o f o pi (sigma an
+    automorphism of H, pi of G) when neither group is cut, and at least one
+    otherwise.  Products of omitted maps are isomorphic to a yielded map's,
+    via (g, h) -> (pi(g), sigma(h)).
     """
     total = h.order ** g.order
     if total > enum_bound:
         raise EnumerationBudgetExceeded(
             f"{h.order}^{g.order} = {total} maps exceeds bound {enum_bound}")
-    if not reduce_symmetry:
-        for image in itertools.product(range(h.order), repeat=g.order):
-            yield VertexMap(g.order, h.order, image)
-        return
-    auts_g = automorphisms(g)
-    auts_h = automorphisms(h)
+    auts = _symmetries(g, h) if reduce_symmetry else None
     for image in itertools.product(range(h.order), repeat=g.order):
-        if _orbit_minimal(image, auts_g, auts_h):
+        if auts is None or _orbit_minimal(image, *auts):
             yield VertexMap(g.order, h.order, image)
+
+
+def _symmetries(g: Graph, h: Graph
+                ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Aut G and Aut H for the orbit test, each cut to its first
+    n(H)^n(G) elements in lexicographic order.  The test is sound for any
+    subsets, and the cut keeps a factor with a huge group (K12 has 12!
+    automorphisms) from costing more than the maps it could save."""
+    cap = h.order ** g.order
+    return automorphisms(g, cap), automorphisms(h, cap)
 
 
 def _orbit_minimal(image: tuple[int, ...], auts_g: list[tuple[int, ...]],
@@ -284,8 +297,8 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     optimum.  Once a best value exists, a map whose orbit was already
     settled is skipped, and every other map goes through the screen of
     _improvement, which hands back the map's value and witness when it
-    beats the best.  explored counts the settled maps, skipped, screened
-    out or solved.  Budget exhaustion (enumeration bound or solver node
+    beats the best.  explored counts the settled maps, screened out,
+    solved or, without reduce_symmetry, skipped.  Budget exhaustion (enumeration bound or solver node
     budget) yields a partial result with complete=False and the explored
     count.
     """
@@ -299,14 +312,15 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     complete_run = True
     auts = None
     try:
-        for f in enumerate_maps(g, h, reduce_symmetry, enum_bound):
-            if best is not None and not reduce_symmetry:
+        for f in enumerate_maps(g, h, False, enum_bound):
+            if best is not None:
                 # the groups are built past the enumeration bound and the
                 # first map's solve, so neither failure pays for them
-                auts = auts or (automorphisms(g), automorphisms(h))
+                auts = auts or _symmetries(g, h)
                 if not _orbit_minimal(f.image, *auts):
-                    # its orbit's lexmin came earlier and was settled
-                    explored += 1
+                    # its orbit's lexmin came earlier and was settled; a
+                    # reduced run counts only the maps it does not skip
+                    explored += not reduce_symmetry
                     continue
             x = sierpinski_product(g, h, f).graph
             if best is None:

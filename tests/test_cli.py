@@ -87,8 +87,9 @@ def test_chirho_domain_rejection(capsys, tmp_path):
 
 
 def test_schirho_reduce_on_a_path_past_the_recursion_limit(capsys):
-    # the symmetry reduction finds the path's two automorphisms without
-    # recursing per vertex; the product is then too large for the solver
+    # the single map is solved before any automorphism group is built, and
+    # its product is too large for the solver (the group search's own depth
+    # is covered by test_automorphism_groups)
     assert main(["schirho", "--base", "P1050", "--fiber", "P1",
                  "--reduce"]) == 1
     assert "order 1050 exceeds exact-search bound 40" in \

@@ -188,6 +188,8 @@ def test_automorphism_groups():
     assert len(automorphisms(star(3))) == 6
     bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
     assert len(automorphisms(bull)) == 2
+    assert automorphisms(complete(5), 7) == automorphisms(complete(5))[:7]
+    assert automorphisms(path(4), 5) == automorphisms(path(4))
 
 
 def _recursive_automorphisms(g):
@@ -395,6 +397,30 @@ def test_unreduced_path_complete_max_matches_reduced():
     red = sierpinski_chi(path(4), complete(4), "max", reduce_symmetry=True)
     assert full.complete and full.explored == 256
     assert (full.value, full.witness_map) == (red.value, red.witness_map)
+
+
+def test_orbit_test_cuts_a_huge_group_to_the_map_count(monkeypatch):
+    # K12 has 12! automorphisms but K2 x K12 only 144 maps; building the
+    # whole group would take hours and gigabytes
+    found = []
+    search = product.automorphisms
+
+    def bounded(g, limit=None):
+        assert limit is not None and limit <= 144
+        auts = search(g, limit)
+        found.append(len(auts))
+        return auts
+
+    monkeypatch.setattr(product, "automorphisms", bounded)
+    for mode in ("min", "max"):
+        for reduce_symmetry in (False, True):
+            result = sierpinski_chi(complete(2), complete(12), mode,
+                                    reduce_symmetry=reduce_symmetry)
+            # 2n - 2: colors 1 and 2 twice across the bridge, every
+            # other color once
+            assert result.complete and result.value == 22
+            assert result.explored <= 144
+    assert max(found) == 144
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
