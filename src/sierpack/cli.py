@@ -267,9 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber", required=True)
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--reduce", action="store_true",
-                   help="count one map per symmetry orbit in explored_maps; "
-                        "the maps solved and the answer are the same "
-                        "without it")
+                   help="leave maps skipped for their symmetry orbit out "
+                        "of explored_maps; the maps solved and the answer "
+                        "are the same without it")
     p.add_argument("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--max-order", type=int, default=DEFAULT_SOLVER_BOUND)

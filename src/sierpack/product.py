@@ -298,9 +298,9 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     settled is skipped, and every other map goes through the screen of
     _improvement, which hands back the map's value and witness when it
     beats the best.  explored counts the settled maps, screened out,
-    solved or, without reduce_symmetry, skipped.  Budget exhaustion (enumeration bound or solver node
-    budget) yields a partial result with complete=False and the explored
-    count.
+    solved or, without reduce_symmetry, skipped.  Budget exhaustion
+    (enumeration bound or solver node budget) yields a partial result with
+    complete=False and the explored count.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
