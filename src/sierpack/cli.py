@@ -10,6 +10,7 @@ JSON on stdout).  SIERPACK_NODE_BUDGET sets the default solver budget.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+# the options that name an output file, checked before any command runs
+_OUTPUTS = ("out", "dot", "emit_coloring", "json")
 
 _FAMILY_SPEC = re.compile(r"^([KPS])(\d+)$|^K1,(\d+)$")
 
@@ -63,6 +67,23 @@ def _write(filename: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputFormatError(f"cannot write {filename!r}: {exc}") from None
+
+
+def _check_writable(filename: str) -> None:
+    """Fail as _write would on filename, before any work is done, and
+    without creating or changing a file."""
+    parent = os.path.dirname(filename) or os.curdir
+    if os.path.isdir(filename):
+        code = errno.EISDIR
+    elif os.path.exists(filename):
+        code = 0 if os.access(filename, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        exc = OSError(code, os.strerror(code), filename)
+        raise InputFormatError(f"cannot write {filename!r}: {exc}")
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -308,6 +329,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for dest in _OUTPUTS:
+            target = getattr(args, dest, None)
+            if target:
+                _check_writable(target)
         return args.fn(args)
     except (InputFormatError, FactorMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ conflict checks only, no bounds) kept for cross-checking the main solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      GraphTooLargeError, SearchBudgetExceeded)
@@ -287,29 +287,48 @@ def chi_rho_exact(g: Graph, *,
 
 def greedy_upper_bound(g: Graph) -> int:
     """k of a valid coloring found by one degree-descending greedy pass."""
-    return _greedy(g, g.order)
+    return repair_coloring(g, (0,) * g.order, g.order).k
 
 
-def _greedy(g: Graph, cap: int) -> Optional[int]:
-    """Colors used by the degree-descending greedy pass, each vertex taking
-    its least feasible color, or None at the first vertex that needs a color
-    above cap.  The colors in use are always 1..k, and ball rows are grown
-    only up to radius k."""
+def repair_coloring(g: Graph, start: Sequence[int], cap: int
+                    ) -> Optional[PackingColoring]:
+    """A valid coloring of g with colors in 1..cap grown from start, a
+    color per vertex with 0 for none, or None at the first vertex that
+    needs a color above cap.
+
+    Vertices are visited by descending degree, ties in index order.  A
+    vertex keeps its start color c <= cap unless a vertex kept before it
+    has color c within distance c; then the dropped vertices, in the same
+    order, each take their least feasible color.  From an all-zero start
+    this is the degree-descending greedy.  Ball rows are grown only for the
+    colors in use."""
     within = distances(g).within
-    members = [0]  # members[c]: the vertices colored c so far
-    near = [()]    # near[c]: within(c), fetched when color c comes into use
+    members = [0] * (cap + 1)  # members[c]: the vertices colored c so far
+    near: list = [None] * (cap + 1)  # within(c), fetched when c comes in use
+    colors = [0] * g.order
     # sorted is stable, so vertices of equal degree stay in index order
-    for v in sorted(range(g.order), key=lambda v: -len(g.adj[v])):
+    order = sorted(range(g.order), key=lambda v: -len(g.adj[v]))
+    dropped = []
+    for v in order:
+        c = start[v]
+        if 0 < c <= cap and not (members[c] and members[c] & near[c][v]):
+            if not members[c]:
+                near[c] = within(c)
+            members[c] |= 1 << v
+            colors[v] = c
+        else:
+            dropped.append(v)
+    for v in dropped:
         c = 1
-        while c < len(members) and members[c] & near[c][v]:
+        while c <= cap and members[c] and members[c] & near[c][v]:
             c += 1
         if c > cap:
             return None
-        if c == len(members):
-            members.append(0)
-            near.append(within(c))
+        if not members[c]:
+            near[c] = within(c)
         members[c] |= 1 << v
-    return len(members) - 1
+        colors[v] = c
+    return PackingColoring.from_colors(colors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,23 @@ the slow case):
 
 * min: decide k = lower bound .. best - 1; the map improves iff one is SAT,
   and that SAT decision's k and coloring are its value and witness;
-* max: skip the map if the degree-descending greedy colors it with at most
-  best colors; otherwise decide k = lower bound .. best, and the map
-  improves iff all are UNSAT, in which case the decisions go on above best
-  to the first SAT, which gives the value and witness.
+* max: skip the map if a coloring with at most best colors is found with
+  no search, by repairing one of the last POOL_SIZE witness colorings of
+  the run or by the degree-descending greedy; otherwise decide k = lower
+  bound .. best, and the map improves iff all are UNSAT, in which case the
+  decisions go on above best to the first SAT, which gives the value and
+  witness.
 
 A map that improves is therefore never solved a second time.
+
+The pool holds the colors of the first map's witness, of each
+improvement's witness and of every SAT a max screen decides at k <= best,
+most recent first; a coloring that settles a map moves to the front.  All
+products of one run share their vertex indexing, and maps that are close in
+lexicographic order differ in a few connecting edges, so a recent witness
+often needs only a few vertices recolored (coloring.repair_coloring).  A
+repair within best colors proves chi_rho <= best, so the map is settled
+with no lower bound and no decision.
 
 A map that is not the lexicographic minimum of its orbit under
 f -> sigma o f o pi is settled with no product and no decision.  Maps come
@@ -31,9 +42,9 @@ the run decides the same maps; reduce_symmetry only leaves the skipped
 maps out of explored.
 
 Each screen call is a call chi_rho_exact makes on that map with the same
-per-call node budget, and an orbit skip makes none, so a run that
-completes when every map is solved in full completes with the screens and
-skips, with the same value, witness map, witness coloring and explored
+per-call node budget, and an orbit skip or a repair makes none, so a run
+that completes when every map is solved in full completes with the screens
+and skips, with the same value, witness map, witness coloring and explored
 count; under a budget it gets at least as far.
 """
 
@@ -41,17 +52,19 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .coloring import (PackingColoring, _greedy, chi_rho_decision,
-                       chi_rho_exact, chi_rho_lower_bound)
+from .coloring import (PackingColoring, chi_rho_decision, chi_rho_exact,
+                       chi_rho_lower_bound, repair_coloring)
 from .errors import (ConstructionError, EnumerationBudgetExceeded,
                      FactorMismatchError, InputFormatError,
                      SearchBudgetExceeded)
 from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
+POOL_SIZE = 8  # witness colorings a max run keeps to repair
 
 
 class EdgeKind(enum.Enum):
@@ -265,21 +278,35 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
 
 
 def _improvement(x: Graph, mode: str, best: int,
-                 node_budget: Optional[int], max_order: int
+                 node_budget: Optional[int], max_order: int,
+                 pool: Optional[deque] = None
                  ) -> Optional[tuple[int, PackingColoring]]:
     """chi_rho(x) with a witness when it beats best in mode, else None: for
     min, some k below best is SAT; for max, every k up to best is UNSAT,
     and the decisions go on above best to the first SAT.  Decisions ascend
     from the lower bound and stop at the first SAT, so they are the calls
-    chi_rho_exact(x) makes, and no k above chi_rho(x) is decided."""
-    if mode == "max" and _greedy(x, best) is not None:
-        return None
+    chi_rho_exact(x) makes, and no k above chi_rho(x) is decided.  A max
+    screen first repairs each coloring of pool, then the empty one (the
+    greedy); a hit moves to the front of pool, and a SAT witness decided
+    at k <= best joins it."""
+    if mode == "max":
+        for i, colors in enumerate(pool or ()):
+            if repair_coloring(x, colors, best) is not None:
+                del pool[i]
+                pool.appendleft(colors)
+                return None
+        if repair_coloring(x, (0,) * x.order, best) is not None:
+            return None
     k = chi_rho_lower_bound(x, max_order)
     while mode == "max" or k < best:
         witness = chi_rho_decision(x, k, node_budget=node_budget,
                                    max_order=max_order)
         if witness is not None:
-            return (k, witness) if mode == "min" or k > best else None
+            if mode == "min" or k > best:
+                return k, witness
+            if pool is not None:
+                pool.appendleft(witness.colors)
+            return None
         k += 1
     return None
 
@@ -311,6 +338,7 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     floor = _complete_pair_floor(g, h) if mode == "min" else None
     complete_run = True
     auts = None
+    pool: deque = deque(maxlen=POOL_SIZE)  # colors tuples, most recent first
     try:
         for f in enumerate_maps(g, h, False, enum_bound):
             if best is not None:
@@ -327,10 +355,12 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                 solved = chi_rho_exact(x, node_budget=node_budget,
                                        max_order=max_order)
             else:
-                solved = _improvement(x, mode, best, node_budget, max_order)
+                solved = _improvement(x, mode, best, node_budget, max_order,
+                                      pool)
             if solved is not None:
                 best, best_col = solved
                 best_map = f
+                pool.appendleft(best_col.colors)
             explored += 1
             if best == floor:
                 # no f can go below the floor, so the minimum is settled

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sierpack import cli
 from sierpack.cli import main
 from sierpack.families import FAMILIES
 from sierpack.formats import emit_graph_text, parse_graph_text
@@ -364,6 +365,32 @@ def test_unwritable_output_path_is_malformed_input(capsys, tmp_path, argv):
     assert captured.out == ""
     assert f"error: cannot write {str(target)!r}" in captured.err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["schirho", "--base", "P5", "--fiber", "P5", "--mode", "max", "--json"],
+    ["verify-paper", "--json"],
+    ["family", "star-path", "--params", "m=4,n=5", "--json", "OK",
+     "--emit-coloring"],
+], ids=["schirho", "verify-paper", "family-second-target"])
+def test_unwritable_output_path_fails_before_any_work(capsys, tmp_path,
+                                                      monkeypatch, argv):
+    # the search, the checks and the family command would fail if reached,
+    # and no output file is created, not even a writable one
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the output paths were "
+                             "checked")
+
+    monkeypatch.setattr(cli, "sierpinski_chi", unreachable)
+    monkeypatch.setattr(cli.checks, "run_all", unreachable)
+    monkeypatch.setattr(cli, "_cmd_family", unreachable)
+    ok = tmp_path / "ok.json"
+    argv = [str(ok) if a == "OK" else a for a in argv] \
+        + [str(tmp_path / "no-such-dir" / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: cannot write" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [

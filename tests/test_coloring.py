@@ -2,16 +2,21 @@ import random
 
 import pytest
 
-from sierpack.coloring import (PackingColoring, _greedy, chi_rho_decision,
+from sierpack.coloring import (PackingColoring, chi_rho_decision,
                                chi_rho_exact, chi_rho_lower_bound,
                                chi_rho_naive, greedy_upper_bound,
-                               verify_packing_coloring)
+                               repair_coloring, verify_packing_coloring)
 from sierpack.errors import (ColoringCoverageError, DisconnectedGraphError,
                              GraphTooLargeError, SearchBudgetExceeded)
 from sierpack.graphs import (Graph, complete, corona, diameter,
                              independence_number, path, random_tree, star,
                              two_packing_number)
 from sierpack.product import VertexMap, sierpinski_product
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the test extra
+    given = None
 
 
 def test_verify_examples():
@@ -130,7 +135,58 @@ def test_capped_greedy_stops_above_the_cap():
         g = Graph.from_edges(n, sorted(edges))
         k = greedy_upper_bound(g)
         for cap in range(1, n + 1):
-            assert _greedy(g, cap) == (k if k <= cap else None)
+            capped = repair_coloring(g, (0,) * n, cap)
+            assert (capped and capped.k) == (k if k <= cap else None)
+
+
+def _plain_greedy(g):
+    """The degree-descending greedy with breadth-first distances: each
+    vertex, by descending degree and then index, takes its least color c
+    with no vertex of color c within distance c."""
+    colors = {}
+    for v in sorted(range(g.order), key=lambda v: (-g.degree(v), v)):
+        dist, queue = {v: 0}, [v]
+        for u in queue:
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        c = 1
+        while any(colors.get(u) == c and d <= c for u, d in dist.items()):
+            c += 1
+        colors[v] = c
+    return max(colors.values())
+
+
+if given is not None:
+    @st.composite
+    def _graphs_and_starts(draw):
+        """A connected graph of order <= 12, a start coloring (0 for
+        none, colors up to n + 1) and a cap in 1..n."""
+        n = draw(st.integers(1, 12))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw(st.integers(0, 5)) == 0:
+                    edges.add((u, v))
+        g = Graph.from_edges(n, sorted(edges))
+        start = draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+        return g, start, draw(st.integers(1, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_graphs_and_starts())
+    def test_repair_gives_valid_colorings_within_the_cap(case):
+        g, start, cap = case
+        repaired = repair_coloring(g, start, cap)
+        if repaired is not None:
+            assert verify_packing_coloring(g, repaired).ok
+            assert repaired.k <= cap
+        if min(start) > 0 and max(start) <= cap and verify_packing_coloring(
+                g, PackingColoring.from_colors(start)).ok:
+            # a valid start is kept whole
+            assert repaired.colors == tuple(start)
+        empty = repair_coloring(g, (0,) * g.order, g.order)
+        assert empty.k == greedy_upper_bound(g) == _plain_greedy(g)
 
 
 def test_naive_agrees_on_small_graphs():

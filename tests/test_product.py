@@ -448,6 +448,28 @@ def test_screen_never_decides_above_chi_rho(monkeypatch, mode):
         assert k <= chi_rho_exact(x)[0]
 
 
+@pytest.mark.parametrize("g, h, value, most", [
+    (path(5), path(5), 5, 200),   # 1,085 decisions without the pool
+    (star(4), star(4), 6, 10),    # 73 without the pool
+], ids=["P5xP5", "S4xS4"])
+def test_max_screen_repairs_witnesses_before_deciding(monkeypatch, g, h,
+                                                      value, most):
+    # a repaired witness coloring with at most best colors settles a map
+    # with no decision, so most maps of a max run cost no search
+    seen = []
+    decide = product.chi_rho_decision
+
+    def recording(x, k, **kwargs):
+        seen.append(k)
+        return decide(x, k, **kwargs)
+
+    monkeypatch.setattr(product, "chi_rho_decision", recording)
+    result = sierpinski_chi(g, h, "max")
+    assert result.complete and result.value == value
+    assert result.explored == h.order ** g.order
+    assert len(seen) <= most
+
+
 if given is not None:
     @st.composite
     def _connected_graphs(draw):
