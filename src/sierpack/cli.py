@@ -157,9 +157,10 @@ def _cmd_product(args) -> int:
 def _cmd_chirho(args) -> int:
     g = _read_graph(args.graph)
     budget = _checked_budget(args.budget)
+    max_order = _positive(args.max_order, "--max-order")
     if args.decision is not None:
         witness = chi_rho_decision(g, args.decision, node_budget=budget,
-                                   max_order=args.max_order)
+                                   max_order=max_order)
         if witness is None:
             _emit({"order": g.order, "decision": args.decision,
                    "status": "UNSAT"}, args.json)
@@ -169,7 +170,7 @@ def _cmd_chirho(args) -> int:
             _emit(payload, args.json)
         return EXIT_OK
     value, witness = chi_rho_exact(g, node_budget=budget,
-                                   max_order=args.max_order)
+                                   max_order=max_order)
     payload = {"value": value}
     payload.update(_witness_dict(g, witness))
     _emit(payload, args.json)
@@ -185,7 +186,8 @@ def _cmd_schirho(args) -> int:
                             enum_bound=_positive(args.enum_bound,
                                                  "--enum-bound"),
                             node_budget=budget,
-                            max_order=args.max_order)
+                            max_order=_positive(args.max_order,
+                                                "--max-order"))
     payload = {"mode": result.mode, "value": result.value,
                "explored_maps": result.explored, "complete": result.complete}
     if result.witness_map is not None:

@@ -657,9 +657,9 @@ FAMILIES: dict[str, Family] = {
         {"min": lambda x, cyclic: _path_path_min(x)}, names_map=True),
     "star-path": Family(
         ("m", "n"),
-        {"min": lambda p: FamilyValue("star-path", _sizes(p, 3, 1), "exact",
+        {"min": lambda p: FamilyValue("star-path", _sizes(p, 3, 2), "exact",
                                       value=3, source="star-path-min"),
-         "max": lambda p: FamilyValue("star-path", _sizes(p, 3, 1),
+         "max": lambda p: FamilyValue("star-path", _sizes(p, 3, 2),
                                       "upper_bound", value=7,
                                       source="star-path-max-bound")},
         lambda m, n: (star(m), path(n)), star_path_min_map,

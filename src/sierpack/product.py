@@ -31,15 +31,12 @@ often needs only a few vertices recolored (coloring.repair_coloring).  A
 repair within best colors proves chi_rho <= best, so the map is settled
 with no lower bound and no decision.
 
-A map that is not the lexicographic minimum of its orbit under
-f -> sigma o f o pi is settled with no product and no decision.  Maps come
-in lexicographic order, so its orbit's minimum came earlier; the two
-products are isomorphic, and best only moves toward the optimum, so it
-cannot beat best.  The test uses each factor's automorphisms up to the
-number of maps (any subsets of the groups keep it sound), so a factor with
-a huge group costs no more than its maps.  With or without reduce_symmetry
-the run decides the same maps; reduce_symmetry only leaves the skipped
-maps out of explored.
+sierpinski_chi screens only the orbit representatives enumerate_maps
+yields with reduce_symmetry.  A map left out is settled with no product
+and no decision: its orbit's lexmin came earlier, the two products are
+isomorphic, and best only moves toward the optimum, so it cannot beat best.
+reduce_symmetry only chooses whether explored counts the maps screened or,
+by lex rank, every map up to the last one settled.
 
 Each screen call is a call chi_rho_exact makes on that map with the same
 per-call node budget, and an orbit skip or a repair makes none, so a run
@@ -51,6 +48,7 @@ count; under a budget it gets at least as far.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -215,30 +213,27 @@ def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
     """All maps V(G) -> V(H) in lexicographic order of their image tuples.
 
     With reduce_symmetry, only the maps that _orbit_minimal finds minimal
-    under _symmetries are yielded: one lexicographically minimal
+    under Aut G and Aut H are yielded: one lexicographically minimal
     representative per orbit of the action f -> sigma o f o pi (sigma an
     automorphism of H, pi of G) when neither group is cut, and at least one
     otherwise.  Products of omitted maps are isomorphic to a yielded map's,
-    via (g, h) -> (pi(g), sigma(h)).
+    via (g, h) -> (pi(g), sigma(h)).  Each group is cut to its first
+    n(H)^n(G) elements in lexicographic order, which keeps the test sound
+    and a huge group (K12 has 12! automorphisms) no dearer than the maps.
+    The groups are built once the first map, the all-zero one, is consumed,
+    so a caller that stops there never pays for them.
     """
     total = h.order ** g.order
     if total > enum_bound:
         raise EnumerationBudgetExceeded(
             f"{h.order}^{g.order} = {total} maps exceeds bound {enum_bound}")
-    auts = _symmetries(g, h) if reduce_symmetry else None
-    for image in itertools.product(range(h.order), repeat=g.order):
-        if auts is None or _orbit_minimal(image, *auts):
-            yield VertexMap(g.order, h.order, image)
-
-
-def _symmetries(g: Graph, h: Graph
-                ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Aut G and Aut H for the orbit test, each cut to its first
-    n(H)^n(G) elements in lexicographic order.  The test is sound for any
-    subsets, and the cut keeps a factor with a huge group (K12 has 12!
-    automorphisms) from costing more than the maps it could save."""
-    cap = h.order ** g.order
-    return automorphisms(g, cap), automorphisms(h, cap)
+    images = itertools.product(range(h.order), repeat=g.order)
+    yield VertexMap(g.order, h.order, next(images))
+    if reduce_symmetry:
+        auts = automorphisms(g, total), automorphisms(h, total)
+        images = (image for image in images if _orbit_minimal(image, *auts))
+    for image in images:
+        yield VertexMap(g.order, h.order, image)
 
 
 def _orbit_minimal(image: tuple[int, ...], auts_g: list[tuple[int, ...]],
@@ -321,11 +316,11 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     map and an optimal coloring for it.
 
     The witness is the first map, in enumeration order, that attains the
-    optimum.  Once a best value exists, a map whose orbit was already
-    settled is skipped, and every other map goes through the screen of
-    _improvement, which hands back the map's value and witness when it
-    beats the best.  explored counts the settled maps, screened out,
-    solved or, without reduce_symmetry, skipped.  Budget exhaustion
+    optimum.  The maps are those enumerate_maps yields with reduce_symmetry;
+    every one after the first goes through the screen of _improvement,
+    which hands back the map's value and witness when it beats the best.
+    explored counts the settled maps: the maps screened, or without
+    reduce_symmetry every map up to the last one settled.  Budget exhaustion
     (enumeration bound or solver node budget) yields a partial result with
     complete=False and the explored count.
     """
@@ -337,19 +332,14 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     explored = 0
     floor = _complete_pair_floor(g, h) if mode == "min" else None
     complete_run = True
-    auts = None
     pool: deque = deque(maxlen=POOL_SIZE)  # colors tuples, most recent first
     try:
-        for f in enumerate_maps(g, h, False, enum_bound):
-            if best is not None:
-                # the groups are built past the enumeration bound and the
-                # first map's solve, so neither failure pays for them
-                auts = auts or _symmetries(g, h)
-                if not _orbit_minimal(f.image, *auts):
-                    # its orbit's lexmin came earlier and was settled; a
-                    # reduced run counts only the maps it does not skip
-                    explored += not reduce_symmetry
-                    continue
+        for f in enumerate_maps(g, h, True, enum_bound):
+            if not reduce_symmetry:
+                # every map before f in lex order is settled: by a screen,
+                # or left out because its orbit's lexmin came earlier
+                explored = functools.reduce(lambda r, v: r * h.order + v,
+                                            f.image, 0)
             x = sierpinski_product(g, h, f).graph
             if best is None:
                 solved = chi_rho_exact(x, node_budget=node_budget,
@@ -365,6 +355,9 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
             if best == floor:
                 # no f can go below the floor, so the minimum is settled
                 break
+        else:
+            if not reduce_symmetry:
+                explored = h.order ** g.order
     except (SearchBudgetExceeded, EnumerationBudgetExceeded):
         complete_run = False
     return SierpinskiChiResult(mode, best, best_map, best_col,

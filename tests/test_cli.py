@@ -185,6 +185,8 @@ def test_family_star_path_max_on_a_long_hub_path(capsys):
 
 def test_family_rejects_unknown_params(capsys):
     assert main(["family", "corona", "--params", "n=3,p=1"]) == 1
+    # K_{1,m} (x) P_1 is the star itself, with chi_rho 2, not 3
+    assert main(["family", "star-path", "--params", "m=3,n=1"]) == 1
 
 
 def test_family_unknown_param_key_is_malformed_input(capsys):
@@ -399,10 +401,19 @@ def test_unwritable_output_path_fails_before_any_work(capsys, tmp_path,
     (["schirho", "--budget", "0"], "budgets must be positive"),
     (["verify-paper", "--jobs", "0"], "--jobs must be positive"),
     (["verify-paper", "--jobs", "-2"], "--jobs must be positive"),
+    (["schirho", "--max-order", "0"], "--max-order must be positive"),
+    (["schirho", "--max-order", "-5"], "--max-order must be positive"),
+    (["chirho", "--max-order", "0"], "--max-order must be positive"),
+    (["chirho", "--max-order", "-5"], "--max-order must be positive"),
 ])
-def test_non_positive_bound_is_malformed_input(capsys, argv, message):
+def test_non_positive_bound_is_malformed_input(capsys, tmp_path, argv,
+                                               message):
     if argv[0] == "schirho":
         argv = argv + ["--base", "K3", "--fiber", "K3"]
+    elif argv[0] == "chirho":
+        graph = tmp_path / "k3.txt"
+        graph.write_text("3 3\n0 1\n0 2\n1 2\n", encoding="utf-8")
+        argv = argv + [str(graph)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err

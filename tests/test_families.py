@@ -13,7 +13,7 @@ from sierpack.families import (FAMILIES, SpineDecomposition,
                                star_star_min_map)
 from sierpack.graphs import (Graph, complete, corona, is_tree, path, star,
                              tree_isomorphic)
-from sierpack.product import VertexMap, sierpinski_product
+from sierpack.product import VertexMap, sierpinski_chi, sierpinski_product
 
 
 def test_complete_pair_values():
@@ -153,6 +153,27 @@ def test_color_class_t_validates_input():
 def _construct(name, m, n, mode, f=None, cyclic=False):
     """The verified coloring of FAMILIES[name]'s construction."""
     return FAMILIES[name].construct({"m": m, "n": n}, mode, f, cyclic)[1]
+
+
+@pytest.mark.parametrize("name, m_lo, n_lo", [
+    ("path-path", 2, 2), ("star-path", 3, 2), ("path-star", 2, 3),
+    ("star-star", 3, 3)])
+def test_min_construction_value_and_search_agree(name, m_lo, n_lo):
+    # at the smallest allowed sizes and one step above, the min
+    # construction's colors, the family's exact min and the exhaustive
+    # minimum over all maps are one number
+    family = FAMILIES[name]
+    for m, n in ((m_lo - 1, n_lo), (m_lo, n_lo - 1)):
+        with pytest.raises(ValueError):
+            family.value({"m": m, "n": n}, "min")
+    for m, n in ((m_lo, n_lo), (m_lo + 1, n_lo), (m_lo, n_lo + 1)):
+        params = {"m": m, "n": n}
+        value = family.value(params, "min")
+        assert value.kind == "exact"
+        col = family.construct(params, "min")[1]
+        searched = sierpinski_chi(*family.factors(m, n), "min")
+        assert searched.complete
+        assert col.k == value.value == searched.value, (m, n)
 
 
 def test_star_path_min():

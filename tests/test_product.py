@@ -1,5 +1,5 @@
 import random
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -383,6 +383,60 @@ def test_unreduced_run_builds_only_orbit_representatives(monkeypatch, mode):
             assert set(full_built) <= reps, (g, h)
             assert full_built == built, (g, h)
             assert _summary(full)[:3] == _summary(red)[:3], (g, h)
+
+
+def _lex_rank(image, n):
+    # the number of maps before image in lex order: image in base n
+    return int("".join(map(str, image)), n)
+
+
+def test_unreduced_run_reports_its_lex_prefix(monkeypatch):
+    # without reduce_symmetry explored is the length of the settled lex
+    # prefix: up to the map whose screen ran out of budget, or through the
+    # map that reached the floor, or every map
+    built = []
+    build = product.sierpinski_product
+
+    def recording(g, h, f):
+        built.append(f.image)
+        return build(g, h, f)
+
+    monkeypatch.setattr(product, "sierpinski_product", recording)
+    partial = 0
+    for g in FACTORS[1:]:
+        for h in FACTORS[1:]:
+            floor = product._complete_pair_floor(g, h)
+            for mode in ("min", "max"):
+                for budget in BUDGETS:
+                    built.clear()
+                    got = sierpinski_chi(g, h, mode, node_budget=budget)
+                    rank = _lex_rank(built[-1], h.order)
+                    if not got.complete:
+                        partial += 1
+                        assert got.explored == rank, (g, h, mode, budget)
+                    elif got.explored != h.order ** g.order:
+                        assert mode == "min" and got.value == floor
+                        assert got.explored == rank + 1, (g, h, budget)
+    assert partial > 0  # the budgets cut some runs short
+
+
+def test_reduced_maps_are_the_orbit_minima():
+    # the orbits of f -> sigma o f o pi by brute force, with both groups
+    # taken from every permutation that keeps the edge set
+    def group(x):
+        edges = set(x.edges())
+        return [p for p in permutations(range(x.order))
+                if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges]
+
+    for g in FACTORS:
+        for h in FACTORS:
+            auts_g, auts_h = group(g), group(h)
+            minima = {min(tuple(sigma[f[v]] for v in pi)
+                          for pi in auts_g for sigma in auts_h)
+                      for f in iproduct(range(h.order), repeat=g.order)}
+            got = [f.image for f in enumerate_maps(g, h,
+                                                   reduce_symmetry=True)]
+            assert got == sorted(minima), (g, h)
 
 
 def test_unreduced_complete_pair_max():
