@@ -93,10 +93,11 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     print(text)
 
 
-def _witness_dict(g: Graph, coloring) -> dict:
-    ver = verify_packing_coloring(g, coloring)
-    return {"order": g.order, "k": coloring.k,
-            "colors": list(coloring.colors), "verified": bool(ver.ok)}
+def _witness_dict(g: Graph, coloring, verified=None) -> dict:
+    """The witness as JSON, verified here unless ``verified`` is given."""
+    return {"order": g.order, "k": coloring.k, "colors": list(coloring.colors),
+            "verified": verify_packing_coloring(g, coloring).ok
+            if verified is None else verified}
 
 
 def _integer(text: str, what: str) -> int:
@@ -223,7 +224,8 @@ def _cmd_family(args) -> int:
         prod, coloring = built
         if family.names_map:
             payload["map"] = prod.vmap.to_text()
-        witness = _witness_dict(prod.graph, coloring)
+        # Family.construct verified the coloring, or raised
+        witness = _witness_dict(prod.graph, coloring, True)
         payload["coloring_k"] = witness["k"]
         payload["coloring_verified"] = witness["verified"]
         if args.emit_coloring:

@@ -29,6 +29,8 @@ budget aborts the search with SearchBudgetExceeded, which is a distinct
 
 chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
+Both read the cached distance balls (graphs.distances); the certificate
+check, verify_packing_coloring, reads none and shares no state with them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      GraphTooLargeError, SearchBudgetExceeded)
-from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph, distances, max_packing
+from .graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, bfs_layers, distances,
+                     max_packing)
 
 DEFAULT_SOLVER_BOUND = DEFAULT_EXACT_SEARCH_BOUND
 
@@ -79,24 +82,21 @@ class VerifyResult:
 
 def verify_packing_coloring(g: Graph, c: PackingColoring) -> VerifyResult:
     """Check the distance contract; on failure report the first violating
-    (u, v, color) triple, scanning colors ascending and pairs in lex order."""
-    if len(c.colors) != g.order:
+    (u, v, color) triple, scanning colors ascending and pairs in lex order.
+    Each vertex's ball of radius its color is searched by graphs.bfs_layers,
+    in (color, index) order: O(n) memory, and no distance balls are read."""
+    colors = c.colors
+    if len(colors) != g.order:
         raise ColoringCoverageError(
-            f"coloring covers {len(c.colors)} vertices, graph has {g.order}")
-    balls = distances(g)
-    by_color: dict[int, int] = {}
-    for v, col in enumerate(c.colors):
-        by_color[col] = by_color.get(col, 0) | 1 << v
-    for col in sorted(by_color):
-        members = by_color[col]
-        near = balls.within(col)
-        while members:
-            u = (members & -members).bit_length() - 1
-            members &= members - 1
-            hit = near[u] & members
-            if hit:
-                return VerifyResult(False, (u, (hit & -hit).bit_length() - 1,
-                                            col))
+            f"coloring covers {len(colors)} vertices, graph has {g.order}")
+    stamp = [-1] * g.order
+    # sorted is stable, so vertices of one color stay in index order
+    for u in sorted(range(g.order), key=colors.__getitem__):
+        col = colors[u]
+        hits = [v for layer in bfs_layers(g, u, col, stamp) for v in layer
+                if colors[v] == col and v > u]
+        if hits:
+            return VerifyResult(False, (u, min(hits), col))
     return VerifyResult(True)
 
 
@@ -334,7 +334,7 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int
 # ---------------------------------------------------------------------------
 # the plain second path
 
-def chi_rho_naive(g: Graph, max_k: Optional[int] = None) -> tuple[int, PackingColoring]:
+def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
     """Exhaustive reference solver: vertices in index order, colors tried
     ascending, pruning only on a direct conflict with an assigned vertex.
     Kept deliberately free of the main solver's ordering and bounds."""
@@ -342,9 +342,8 @@ def chi_rho_naive(g: Graph, max_k: Optional[int] = None) -> tuple[int, PackingCo
     balls = distances(g)
     if not balls.connected:
         raise DisconnectedGraphError("chi_rho_naive requires a connected graph")
-    limit = n if max_k is None else max_k
     colors = [0] * n
-    members = [0] * (limit + 1)  # members[c]: assigned vertices colored c
+    members = [0] * (n + 1)  # members[c]: assigned vertices colored c
 
     def extend(v: int, k: int) -> bool:
         if v == n:
@@ -359,7 +358,7 @@ def chi_rho_naive(g: Graph, max_k: Optional[int] = None) -> tuple[int, PackingCo
                 colors[v] = 0
         return False
 
-    for k in range(1, limit + 1):
-        if extend(0, k):
-            return k, PackingColoring.from_colors(colors)
-    raise ValueError(f"no packing coloring with at most {limit} colors")
+    k = 1
+    while not extend(0, k):  # stops by k = n: n colors always suffice
+        k += 1
+    return k, PackingColoring.from_colors(colors)

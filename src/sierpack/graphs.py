@@ -3,9 +3,9 @@ and tree machinery the rest of the package is built on.
 
 Graphs are immutable after construction and all operations here are pure
 functions of their inputs.  The per-graph distance balls behind
-``distances`` are cached and shared between structurally equal graphs, so
-each ``Balls`` grows its rows under its own lock; a row already grown is
-read without it.
+``distances`` serve the solver: they are cached and shared between
+structurally equal graphs, so each ``Balls`` grows its rows under its own
+lock.  All other distances come from ``bfs_layers``, in O(n) memory.
 """
 
 from __future__ import annotations
@@ -144,14 +144,14 @@ def corona(g: Graph, p: int) -> Graph:
 # distances
 
 class Balls:
-    """Distance balls of one graph: ``within(r)[v]`` is the bitmask of the
-    vertices within distance r of v (none in another component).  ``ball``
-    holds the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w]
-    over the neighbours w of v, is grown only when asked for, so memory
-    follows the largest radius used, not the diameter.  Rows are grown
-    under ``lock``, as the object may be shared between threads.
-    ``capacity`` memoizes alpha_c of the same graph
-    (coloring.packing_capacity)."""
+    """Distance balls of one graph, for the solver, the repair, alpha_c and
+    the naive oracle: ``within(r)[v]`` is the bitmask of the vertices
+    within distance r of v (none in another component).  ``ball`` holds
+    the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w] over
+    the neighbours w of v, is grown only when asked for, so memory follows
+    the largest radius used, not the diameter.  Rows are grown under
+    ``lock``, as the object may be shared between threads.  ``capacity``
+    memoizes alpha_c of the same graph (coloring.packing_capacity)."""
 
     def __init__(self, g: Graph):
         self.adj = g.adj
@@ -161,45 +161,25 @@ class Balls:
         self.connected = is_connected(g)
         self.capacity: dict[int, int] = {}
 
-    def _grow(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        """The row one hop wider than ``row``."""
-        nxt = []
-        for v, nbrs in enumerate(self.adj):
-            m = row[v]
-            for w in nbrs:
-                m |= row[w]
-            nxt.append(m)
-        return tuple(nxt)
-
     def within(self, r: int) -> tuple[int, ...]:
         """Row r; past the largest eccentricity every row is the last."""
         rows = self.ball
         if r >= len(rows) and not self.last:
             with self.lock:
                 while r >= len(rows) and not self.last:
-                    nxt = self._grow(rows[-1])
-                    if nxt == rows[-1]:
+                    row = rows[-1]
+                    nxt = []
+                    for v, nbrs in enumerate(self.adj):
+                        m = row[v]
+                        for w in nbrs:
+                            m |= row[w]
+                        nxt.append(m)
+                    nxt = tuple(nxt)
+                    if nxt == row:
                         self.last = True
                     else:
                         rows.append(nxt)
         return rows[min(r, len(rows) - 1)]
-
-    @property
-    def diameter(self) -> float:
-        """Largest distance; math.inf when the graph is disconnected.  Rows
-        past the ones already kept are counted with two rolling rows and
-        not kept."""
-        if not self.connected:
-            return math.inf
-        with self.lock:
-            r = len(self.ball) - 1
-            row = self.ball[-1]
-            last = self.last
-        if not last:
-            while (nxt := self._grow(row)) != row:
-                row = nxt
-                r += 1
-        return r
 
 
 @lru_cache(maxsize=512)
@@ -208,22 +188,43 @@ def distances(g: Graph) -> Balls:
     return Balls(g)
 
 
+def bfs_layers(g: Graph, source: int, depth: int, stamp: list[int]
+               ) -> Iterator[list[int]]:
+    """The vertices at distance 1, 2, ... up to depth from source, one list
+    per distance in BFS order, up to the first empty one.  ``stamp`` (n
+    ints, -1 at first) may be shared by searches from distinct sources:
+    each marks what it reaches with its source, so memory stays O(n)."""
+    adj = g.adj
+    stamp[source] = source
+    layer = [source]
+    for _ in range(depth):
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                if stamp[w] != source:
+                    stamp[w] = source
+                    nxt.append(w)
+        if not nxt:
+            return
+        yield nxt
+        layer = nxt
+
+
 def diameter(g: Graph) -> float:
-    """Max finite distance; math.inf when g is disconnected."""
-    return distances(g).diameter
+    """Max distance, math.inf when g is disconnected: a BFS per vertex."""
+    if not is_connected(g):
+        return math.inf
+    stamp = [-1] * g.order
+    return max(sum(1 for _ in bfs_layers(g, v, g.order, stamp))
+               for v in range(g.order))
 
 
 def reachable(g: Graph, start: int = 0) -> list[int]:
     """The vertices reachable from start, in BFS order.  O(n + m) time and
     memory."""
-    seen = bytearray(g.order)
-    seen[start] = 1
     order = [start]
-    for v in order:
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                order.append(w)
+    for layer in bfs_layers(g, start, g.order, [-1] * g.order):
+        order += layer
     return order
 
 
@@ -345,15 +346,13 @@ def _centers(adj) -> list[int]:
     return sorted(v for v in range(n) if not removed[v])
 
 
-def tree_preorder(adj, root: int, blocked: Optional[bytearray] = None
-                  ) -> tuple[list[int], list[int]]:
-    """Iterative DFS from root, never entering a vertex marked in
-    ``blocked`` (a bytearray indexed by vertex; it is not modified): the
-    vertices reached, in preorder, and ``parent[v]`` for each (-1 at the
-    root and at vertices not reached).  On a tree every subtree is a
-    contiguous slice of the preorder, starting at its root."""
+def tree_preorder(adj, root: int) -> tuple[list[int], list[int]]:
+    """Iterative DFS from root: the vertices reached, in preorder, and
+    ``parent[v]`` for each (-1 at the root and at vertices not reached).
+    On a tree every subtree is a contiguous slice of the preorder, starting
+    at its root."""
     parent = [-1] * len(adj)
-    seen = bytearray(len(adj)) if blocked is None else bytearray(blocked)
+    seen = bytearray(len(adj))
     seen[root] = 1
     order = []
     stack = [root]

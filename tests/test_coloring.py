@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from sierpack.coloring import (PackingColoring, chi_rho_decision,
                                repair_coloring, verify_packing_coloring)
 from sierpack.errors import (ColoringCoverageError, DisconnectedGraphError,
                              GraphTooLargeError, SearchBudgetExceeded)
-from sierpack.graphs import (Graph, complete, corona, diameter,
-                             independence_number, path, random_tree, star,
-                             two_packing_number)
+from sierpack.graphs import (Graph, complete, corona, diameter, distances,
+                             independence_number, is_connected, path,
+                             random_tree, star, two_packing_number)
 from sierpack.product import VertexMap, sierpinski_product
 
 try:
@@ -24,6 +25,56 @@ def test_verify_examples():
     assert verify_packing_coloring(p4, PackingColoring.from_colors([1, 2, 1, 3])).ok
     res = verify_packing_coloring(p4, PackingColoring.from_colors([1, 2, 1, 2]))
     assert not res.ok and res.violation == (1, 3, 2)
+
+
+def _bitmask_verify(g, c):
+    # the verifier that read the solver's distance balls, kept as the
+    # reference: (ok, violation) with the same first-triple contract
+    balls = distances(g)
+    by_color = {}
+    for v, col in enumerate(c.colors):
+        by_color[col] = by_color.get(col, 0) | 1 << v
+    for col in sorted(by_color):
+        members = by_color[col]
+        near = balls.within(col)
+        while members:
+            u = (members & -members).bit_length() - 1
+            members &= members - 1
+            hit = near[u] & members
+            if hit:
+                return False, (u, (hit & -hit).bit_length() - 1, col)
+    return True, None
+
+
+def test_verify_matches_the_bitmask_verifier():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        c = PackingColoring.from_colors(
+            rng.randint(1, rng.randint(1, 6)) for _ in range(n))
+        res = verify_packing_coloring(g, c)
+        assert (res.ok, res.violation) == _bitmask_verify(g, c), (g, c)
+        seen.add((res.ok, is_connected(g)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_verify_and_diameter_read_no_distance_balls(monkeypatch):
+    g = corona(path(9), 2)
+    witness = chi_rho_exact(g)[1]  # solved while the balls are still there
+
+    def no_balls(g):
+        raise AssertionError("distance balls read")
+    monkeypatch.setattr("sierpack.graphs.distances", no_balls)
+    monkeypatch.setattr("sierpack.coloring.distances", no_balls)
+    assert verify_packing_coloring(g, witness).ok
+    bad = PackingColoring.from_colors([1] * g.order)
+    assert verify_packing_coloring(g, bad).violation == (0, 1, 1)
+    assert diameter(g) == 10
+    assert diameter(Graph.from_edges(4, [(0, 1), (2, 3)])) == math.inf
 
 
 def test_verify_coverage_mismatch():

@@ -1,16 +1,15 @@
 import math
 import random
-import sys
 import threading
 from itertools import combinations
 
 import pytest
 
 from sierpack.errors import GraphTooLargeError, NotATreeError
-from sierpack.graphs import (Balls, Graph, complete, corona, diameter,
-                             distances, free_trees, independence_number,
-                             is_connected, is_tree, path, random_tree,
-                             reachable, star,
+from sierpack.graphs import (Balls, Graph, bfs_layers, complete, corona,
+                             diameter, distances, free_trees,
+                             independence_number, is_connected, is_tree, path,
+                             random_tree, reachable, star,
                              tree_canonical_form, tree_centers, tree_iso_map,
                              tree_isomorphic, two_packing_number)
 from sierpack.product import VertexMap, sierpinski_product
@@ -52,7 +51,7 @@ def test_balls_grow_only_to_the_radius_asked_for():
     balls = Balls(path(50))  # not the cached object, whose rows may have grown
     assert balls.within(2)[10] == 0b11111 << 8
     assert len(balls.ball) == 3
-    assert balls.diameter == 49 and len(balls.ball) == 3
+    assert diameter(path(50)) == 49 and len(balls.ball) == 3
     assert balls.within(1000) == balls.within(49)
     assert len(balls.ball) == 50
 
@@ -85,22 +84,6 @@ def test_balls_grown_from_concurrent_threads_stay_right():
         _from_threads(lambda: balls.within(30))
         assert balls.within(30)[0] == (1 << 31) - 1
         assert len(balls.ball) == 31
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            balls = Balls(path(60))
-            seen = []
-
-            def both():
-                balls.within(40)
-                seen.append(balls.diameter)
-            _from_threads(both)
-            assert seen == [59] * 4
-            assert balls.within(100)[0] == (1 << 60) - 1
-            assert len(balls.ball) == 60
-    finally:
-        sys.setswitchinterval(old)
 
 
 def test_triangle_inequality_random():
@@ -293,7 +276,7 @@ def test_balls_match_reference_bfs():
         assert len(balls.ball) == ecc + 1
         connected = all(len(d) == g.order for d in dist)
         assert balls.connected == connected
-        assert balls.diameter == (ecc if connected else INF)
+        assert diameter(g) == (ecc if connected else INF)
         seen.add(connected)
     assert seen == {True, False}
 
@@ -303,6 +286,46 @@ def test_reachable_in_bfs_order():
     cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert reachable(cycle) == [0, 1, 3, 2]
     assert reachable(Graph.from_edges(3, [(1, 2)])) == [0]
+
+
+def _queue_bfs(g, start):
+    # the plain queue loop reachable replaced; max_packing's tree greedy
+    # depends on this exact order
+    seen = bytearray(g.order)
+    seen[start] = 1
+    order = [start]
+    for v in order:
+        for w in g.adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                order.append(w)
+    return order
+
+
+def test_reachable_matches_a_plain_queue_loop():
+    rng = random.Random(15)
+    for _ in range(300):
+        g = _random_graph(rng.randint(1, 14), rng.choice((0.1, 0.2, 0.4)), rng)
+        for start in range(g.order):
+            assert reachable(g, start) == _queue_bfs(g, start)
+    for _ in range(20):
+        t = random_tree(rng.randint(1, 200), rng)
+        start = rng.randrange(t.order)
+        assert reachable(t, start) == _queue_bfs(t, start)
+
+
+def test_bfs_layers_are_the_distance_classes():
+    rng = random.Random(16)
+    for _ in range(200):
+        g = _random_graph(rng.randint(1, 12), rng.choice((0.1, 0.2, 0.4)), rng)
+        stamp = [-1] * g.order  # one stamp list for every source
+        for source in range(g.order):
+            dist = _reference_bfs(g, source)
+            depth = rng.randint(0, g.order)
+            layers = list(bfs_layers(g, source, depth, stamp))
+            want = [sorted(v for v, d in dist.items() if d == r)
+                    for r in range(1, min(depth, max(dist.values())) + 1)]
+            assert [sorted(layer) for layer in layers] == want
 
 
 def _reference_canon(g, root, parent=-1):

@@ -376,8 +376,26 @@ def _random_inputs(rng, count):
 # the per-peel rebuild, map reconstruction and final check of an earlier
 # version, kept as the oracle for the residue cut and the certificate
 
+def _preorder_avoiding(adj, root, blocked):
+    # iterative DFS preorder from root that never enters a vertex marked in
+    # blocked, with the parent of each vertex reached
+    parent = [-1] * len(adj)
+    seen = bytearray(blocked)
+    seen[root] = 1
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                stack.append(w)
+    return order, parent
+
+
 def _rebuilt_candidates(x, peeled, n2):
-    order, parent = tree_preorder(x.adj, peeled.index(0), peeled)
+    order, parent = _preorder_avoiding(x.adj, peeled.index(0), peeled)
     size = [1] * x.order
     for v in order[:0:-1]:
         size[parent[v]] += size[v]
