@@ -3,8 +3,7 @@ packing chromatic numbers, constructive colorings for complete / path /
 star families, and recognition of products of two trees."""
 
 from .coloring import (PackingColoring, VerifyResult, chi_rho_decision,
-                       chi_rho_exact, chi_rho_naive, greedy_upper_bound,
-                       verify_packing_coloring)
+                       chi_rho_exact, chi_rho_naive, verify_packing_coloring)
 from .errors import (ColoringCoverageError, ConstructionError,
                      ConstructionOutOfRange, DisconnectedGraphError,
                      EnumerationBudgetExceeded, FactorMismatchError,
@@ -18,16 +17,15 @@ from .families import (FAMILIES, FamilyValue, SpineDecomposition,
                        spine_decompose, star_path_min_map, star_star_min_map)
 from .formats import (emit_dot, emit_graph_text, parse_graph6,
                       parse_graph_text, sniff_parse)
-from .graphs import (Balls, Graph, complete, corona, diameter,
-                     distances, free_trees, independence_number, is_connected,
-                     is_tree, max_packing, path, random_tree, star,
-                     tree_canonical_form, tree_iso_map, tree_isomorphic,
-                     two_packing_number)
-from .product import (EdgeKind, ProductGraph, SierpinskiChiResult, VertexMap,
+from .graphs import (Balls, Graph, complete, corona, diameter, distances,
+                     free_trees, is_connected, is_tree, max_packing, path,
+                     random_tree, star, tree_canonical_form, tree_iso_map,
+                     tree_isomorphic)
+from .product import (ProductGraph, SierpinskiChiResult, VertexMap,
                       automorphisms, enumerate_maps, sierpinski_chi,
                       sierpinski_product)
 from .recognition import (Factorization, PeelStep, PeelTrace,
-                          RecognitionOutcome, pendant_split_edges,
-                          recognize_tree_product, reconstruct_map)
+                          RecognitionOutcome, recognize_tree_product,
+                          reconstruct_map)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from typing import Callable
 
 from .coloring import chi_rho_exact, chi_rho_naive
 from .families import FAMILIES, color_class_T, spine_decompose
-from .graphs import (Graph, complete, corona, diameter, free_trees, path,
-                     random_tree, star, tree_isomorphic, two_packing_number)
+from .graphs import (Graph, complete, corona, diameter, free_trees,
+                     max_packing, path, random_tree, star, tree_isomorphic)
 from .product import (VertexMap, enumerate_maps, sierpinski_chi,
                       sierpinski_product)
 from .recognition import recognize_tree_product
@@ -81,7 +81,7 @@ def check_2_diameter_alpha2(scale: str) -> dict:
             prod = sierpinski_product(complete(m), complete(n), f)
             diams.add(diameter(prod.graph))
             if n >= m:
-                a2s.add(two_packing_number(prod.graph))
+                a2s.add(max_packing(prod.graph, 2))
         ok &= diams == {3}
         if n >= m:
             ok &= a2s == {m}

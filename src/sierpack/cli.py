@@ -107,11 +107,6 @@ def _integer(text: str, what: str) -> int:
         raise InputFormatError(f"{what} {text!r} is not an integer") from None
 
 
-def _default_budget() -> Optional[int]:
-    raw = os.environ.get("SIERPACK_NODE_BUDGET")
-    return _integer(raw, "SIERPACK_NODE_BUDGET") if raw else None
-
-
 def _positive(value: int, what: str) -> int:
     if value < 1:
         raise InputFormatError(f"{what} must be positive")
@@ -120,7 +115,8 @@ def _positive(value: int, what: str) -> int:
 
 def _checked_budget(budget: Optional[int]) -> Optional[int]:
     if budget is None:
-        budget = _default_budget()
+        raw = os.environ.get("SIERPACK_NODE_BUDGET")
+        budget = _integer(raw, "SIERPACK_NODE_BUDGET") if raw else None
     return budget if budget is None else _positive(budget, "budgets")
 
 

@@ -31,6 +31,8 @@ chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
 Both read the cached distance balls (graphs.distances); the certificate
 check, verify_packing_coloring, reads none and shares no state with them.
+packing_capacity and chi_rho_decision check the order before any balls are
+built; the decision search also the recursion room (check_recursion_room).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      GraphTooLargeError, SearchBudgetExceeded)
-from .graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, bfs_layers, distances,
+from .graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, bfs_layers,
+                     check_exact_order, check_recursion_room, distances,
                      max_packing)
 
 DEFAULT_SOLVER_BOUND = DEFAULT_EXACT_SEARCH_BOUND
@@ -107,6 +110,7 @@ def packing_capacity(g: Graph, c: int,
                      max_order: int = DEFAULT_SOLVER_BOUND) -> int:
     """Exact c-packing number alpha_c, kept with the graph's cached
     distance balls, so it is evicted with them."""
+    check_exact_order(g.order, max_order)
     memo = distances(g).capacity
     if c not in memo:
         memo[c] = max_packing(g, c, max_order)
@@ -157,6 +161,7 @@ def chi_rho_decision(g: Graph, k: int, *,
     n = g.order
     if n > max_order:
         raise GraphTooLargeError(f"order {n} exceeds solver bound {max_order}")
+    check_recursion_room(n)
     balls = distances(g)
     if not balls.connected:
         raise DisconnectedGraphError("chi_rho_decision requires a connected graph")
@@ -283,11 +288,6 @@ def chi_rho_exact(g: Graph, *,
         if witness is not None:
             return k, witness
         k += 1
-
-
-def greedy_upper_bound(g: Graph) -> int:
-    """k of a valid coloring found by one degree-descending greedy pass."""
-    return repair_coloring(g, (0,) * g.order, g.order).k
 
 
 def repair_coloring(g: Graph, start: Sequence[int], cap: int

@@ -6,11 +6,14 @@ functions of their inputs.  The per-graph distance balls behind
 ``distances`` serve the solver: they are cached and shared between
 structurally equal graphs, so each ``Balls`` grows its rows under its own
 lock.  All other distances come from ``bfs_layers``, in O(n) memory.
+max_packing checks its order (check_exact_order) before any balls are built
+and the recursion room (check_recursion_room) before its subset search.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -236,6 +239,18 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # exact packing numbers: one subset branch-and-bound, thresholded by distance
 
+def check_exact_order(n: int, max_order: int) -> None:
+    if n > max_order:
+        raise GraphTooLargeError(
+            f"order {n} exceeds exact-search bound {max_order}")
+
+
+def check_recursion_room(n: int) -> None:
+    limit = sys.getrecursionlimit() - 100  # frames left to the callers
+    if n > limit:
+        raise GraphTooLargeError(f"order {n} exceeds recursion bound {limit}")
+
+
 def max_packing(g: Graph, i: int,
                 max_order: int = DEFAULT_EXACT_SEARCH_BOUND) -> int:
     """Exact size of a largest i-packing: a set of vertices with pairwise
@@ -258,12 +273,11 @@ def max_packing(g: Graph, i: int,
     Every other graph goes to the subset branch-and-bound.
     """
     n = g.order
-    if n > max_order:
-        raise GraphTooLargeError(
-            f"order {n} exceeds exact-search bound {max_order}")
+    check_exact_order(n, max_order)
     balls = distances(g)
     conflict = balls.within(i)
     if g.size != n - 1 or not balls.connected:
+        check_recursion_room(n)
         return _max_packing_search(conflict, n)
     kept = 0
     for v in reversed(reachable(g)):  # BFS order reversed: deepest first
@@ -292,18 +306,6 @@ def _max_packing_search(conflict: tuple[int, ...], n: int) -> int:
 
     grow((1 << n) - 1, 0)
     return best
-
-
-def independence_number(g: Graph,
-                        max_order: int = DEFAULT_EXACT_SEARCH_BOUND) -> int:
-    """Exact independence number (largest set with pairwise distance >= 2)."""
-    return max_packing(g, 1, max_order)
-
-
-def two_packing_number(g: Graph,
-                       max_order: int = DEFAULT_EXACT_SEARCH_BOUND) -> int:
-    """Exact 2-packing number (largest set with pairwise distance >= 3)."""
-    return max_packing(g, 2, max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ count; under a budget it gets at least as far.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from collections import deque
@@ -63,11 +62,6 @@ from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
 POOL_SIZE = 8  # witness colorings a max run keeps to repair
-
-
-class EdgeKind(enum.Enum):
-    TYPE1 = 1  # inside a fiber
-    TYPE2 = 2  # connecting edge
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,9 @@ class VertexMap:
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A Sierpinski product together with its factors and map, from which
-    each edge's Type-1/Type-2 kind follows."""
+    """A Sierpinski product together with its factors and map.  An edge uv
+    is Type-2 exactly when base_of(u) != base_of(v); ``connecting`` lists
+    those edges."""
 
     graph: Graph
     base: Graph
@@ -137,12 +132,6 @@ class ProductGraph:
         f = self.vmap
         return tuple(((self.vertex_of(g1, f(g2)), self.vertex_of(g2, f(g1))),
                       (g1, g2)) for g1, g2 in self.base.edges())
-
-    def edge_kind(self, u: int, v: int) -> EdgeKind:
-        if not self.graph.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge of the product")
-        return EdgeKind.TYPE2 if self.base_of(u) != self.base_of(v) \
-            else EdgeKind.TYPE1
 
 
 def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:

@@ -64,20 +64,6 @@ from .graphs import (Graph, Labelled, _ahu_labels, _centers, _pair_rooted,
 from .product import VertexMap
 
 
-def pendant_split_edges(x: Graph, n2: int) -> list[tuple[int, int]]:
-    """All edges of the tree x whose removal leaves components of orders
-    exactly n2 and n(x) - n2, as sorted pairs in sorted order: the cut
-    edges of a leaf's fiber when x is a product with fiber order n2."""
-    if not is_tree(x):
-        raise ValueError("pendant_split_edges needs a tree")
-    n = x.order
-    if n2 < 1 or n2 >= n:
-        return []
-    _, parent, size, _ = _rooting(x)
-    return sorted((min(c, parent[c]), max(c, parent[c]))
-                  for c in range(1, n) if size[c] in (n2, n - n2))
-
-
 # ---------------------------------------------------------------------------
 # peel traces and map reconstruction
 
@@ -93,10 +79,6 @@ class PeelTrace:
     source: Graph
     steps: tuple[PeelStep, ...]
     final_component: tuple[int, ...]  # the last fiber; base index len(steps)
-
-    @property
-    def base_order(self) -> int:
-        return len(self.steps) + 1
 
     def components(self) -> list[tuple[int, ...]]:
         return [s.component for s in self.steps] + [self.final_component]

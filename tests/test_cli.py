@@ -7,7 +7,7 @@ from sierpack import cli
 from sierpack.cli import main
 from sierpack.families import FAMILIES
 from sierpack.formats import emit_graph_text, parse_graph_text
-from sierpack.graphs import path
+from sierpack.graphs import Graph, path
 
 
 def _run(capsys, *argv):
@@ -85,6 +85,33 @@ def test_chirho_domain_rejection(capsys, tmp_path):
     gfile = tmp_path / "p41.txt"
     gfile.write_text(emit_graph_text(path(41)))
     assert main(["chirho", str(gfile)]) == 1
+
+
+def _rejected_alone(capsys, code):
+    captured = capsys.readouterr()
+    return code == 1 and captured.out == "" and \
+        captured.err.startswith("rejected: ") and \
+        captured.err.count("\n") == 1
+
+
+def test_chirho_path_past_the_recursion_limit(capsys, tmp_path):
+    # the tree greedy gives the lower bound; the decision search would
+    # recurse once per vertex
+    gfile = tmp_path / "p1500.txt"
+    gfile.write_text(emit_graph_text(path(1500)))
+    code = main(["chirho", str(gfile), "--max-order", "2000"])
+    assert _rejected_alone(capsys, code)
+
+
+def test_chirho_cycle_past_the_recursion_limit(capsys, tmp_path):
+    # alpha of a cycle comes from the subset search, which recurses once
+    # per vertex kept
+    n = 2400
+    gfile = tmp_path / "c2400.txt"
+    gfile.write_text(emit_graph_text(
+        Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])))
+    code = main(["chirho", str(gfile), "--max-order", "3000"])
+    assert _rejected_alone(capsys, code)
 
 
 def test_schirho_reduce_on_a_path_past_the_recursion_limit(capsys):

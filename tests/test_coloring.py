@@ -1,17 +1,18 @@
 import math
 import random
+import sys
 
 import pytest
 
 from sierpack.coloring import (PackingColoring, chi_rho_decision,
                                chi_rho_exact, chi_rho_lower_bound,
-                               chi_rho_naive, greedy_upper_bound,
-                               repair_coloring, verify_packing_coloring)
+                               chi_rho_naive, repair_coloring,
+                               verify_packing_coloring)
 from sierpack.errors import (ColoringCoverageError, DisconnectedGraphError,
                              GraphTooLargeError, SearchBudgetExceeded)
 from sierpack.graphs import (Graph, complete, corona, diameter, distances,
-                             independence_number, is_connected, path,
-                             random_tree, star, two_packing_number)
+                             is_connected, max_packing, path, random_tree,
+                             star)
 from sierpack.product import VertexMap, sierpinski_product
 
 try:
@@ -118,6 +119,35 @@ def test_decision_rejects_bad_inputs():
         chi_rho_decision(Graph.from_edges(4, [(0, 1), (2, 3)]), 3)
 
 
+def test_order_is_checked_before_any_balls_are_built(monkeypatch):
+    def no_balls(g):
+        raise AssertionError("distance balls built")
+    monkeypatch.setattr("sierpack.coloring.distances", no_balls)
+    with pytest.raises(GraphTooLargeError, match="exact-search bound 40"):
+        chi_rho_exact(path(100))
+    with pytest.raises(GraphTooLargeError, match="solver bound 40"):
+        chi_rho_decision(path(100), 3)
+
+
+def test_decision_rejects_orders_past_the_recursion_limit(monkeypatch):
+    # the search recurses once per vertex; the bound follows the limit
+    # and leaves room for the callers, so the largest order it lets
+    # through is solved
+    def no_balls(g):
+        raise AssertionError("distance balls built")
+    limit = sys.getrecursionlimit() - 100
+    assert chi_rho_exact(path(limit), max_order=limit + 1)[0] == 3
+    with monkeypatch.context() as m:
+        m.setattr("sierpack.coloring.distances", no_balls)
+        with pytest.raises(GraphTooLargeError, match="recursion bound"):
+            chi_rho_decision(path(limit + 1), 3, max_order=limit + 1)
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 150)
+    with pytest.raises(GraphTooLargeError,
+                       match="order 51 exceeds recursion bound 50"):
+        chi_rho_decision(path(51), 3, max_order=100)
+    assert chi_rho_decision(path(50), 3, max_order=100) is not None
+
+
 def test_budget_is_distinct_from_unsat():
     with pytest.raises(SearchBudgetExceeded):
         chi_rho_decision(corona(path(6), 2), 4, node_budget=5)
@@ -159,9 +189,14 @@ def test_soundness_and_minimality():
             assert chi_rho_decision(g, value - 1) is None
 
 
+def _greedy(g):
+    """k of the degree-descending greedy: a repair from no colors."""
+    return repair_coloring(g, (0,) * g.order, g.order).k
+
+
 def test_greedy_examples_and_dominance():
-    assert greedy_upper_bound(complete(4)) == 4
-    assert greedy_upper_bound(path(2)) == 2
+    assert _greedy(complete(4)) == 4
+    assert _greedy(path(2)) == 2
     rng = random.Random(12)
     for _ in range(100):
         n = rng.randint(2, 14)
@@ -171,7 +206,7 @@ def test_greedy_examples_and_dominance():
                 if rng.random() < 0.25:
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
-        assert greedy_upper_bound(g) >= chi_rho_exact(g)[0]
+        assert _greedy(g) >= chi_rho_exact(g)[0]
 
 
 def test_capped_greedy_stops_above_the_cap():
@@ -184,7 +219,7 @@ def test_capped_greedy_stops_above_the_cap():
                 if rng.random() < 0.3:
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
-        k = greedy_upper_bound(g)
+        k = _greedy(g)
         for cap in range(1, n + 1):
             capped = repair_coloring(g, (0,) * n, cap)
             assert (capped and capped.k) == (k if k <= cap else None)
@@ -237,7 +272,7 @@ if given is not None:
             # a valid start is kept whole
             assert repaired.colors == tuple(start)
         empty = repair_coloring(g, (0,) * g.order, g.order)
-        assert empty.k == greedy_upper_bound(g) == _plain_greedy(g)
+        assert empty.k == _plain_greedy(g)
 
 
 def test_naive_agrees_on_small_graphs():
@@ -262,8 +297,8 @@ def test_diameter_three_lower_bound_law():
             for f in enumerate_maps(complete(m), complete(n)):
                 g = sierpinski_product(complete(m), complete(n), f).graph
                 assert diameter(g) == 3
-                bound = 2 + (g.order - independence_number(g)
-                             - two_packing_number(g))
+                bound = 2 + (g.order - max_packing(g, 1)
+                             - max_packing(g, 2))
                 value = chi_rho_exact(g)[0]
                 assert value >= bound
                 assert value >= m * n - 2 * m + 2

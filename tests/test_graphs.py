@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 from itertools import combinations
 
@@ -7,11 +8,10 @@ import pytest
 
 from sierpack.errors import GraphTooLargeError, NotATreeError
 from sierpack.graphs import (Balls, Graph, bfs_layers, complete, corona,
-                             diameter, distances, free_trees,
-                             independence_number, is_connected, is_tree, path,
-                             random_tree, reachable, star,
-                             tree_canonical_form, tree_centers, tree_iso_map,
-                             tree_isomorphic, two_packing_number)
+                             diameter, distances, free_trees, is_connected,
+                             is_tree, max_packing, path, random_tree,
+                             reachable, star, tree_canonical_form,
+                             tree_centers, tree_iso_map, tree_isomorphic)
 from sierpack.product import VertexMap, sierpinski_product
 
 INF = math.inf
@@ -123,12 +123,12 @@ def test_diameter_against_double_sweep_on_k2_products():
         assert diameter(prod.graph) == _double_sweep(prod.graph) == 3
 
 
-def test_independence_number_examples():
-    assert independence_number(complete(6)) == 1
-    assert independence_number(path(5)) == 3
+def test_alpha_examples():
+    assert max_packing(complete(6), 1) == 1
+    assert max_packing(path(5), 1) == 3
 
 
-def test_independence_number_matches_subset_search():
+def test_alpha_matches_subset_search():
     f = VertexMap.constant(3, 4, 0)
     prod = sierpinski_product(complete(3), complete(4), f)
     g = prod.graph
@@ -138,29 +138,39 @@ def test_independence_number_matches_subset_search():
                for sub in combinations(range(g.order), r)):
             best = r
     assert best == 3
-    assert independence_number(g) == 3
+    assert max_packing(g, 1) == 3
 
 
 def test_two_packing_examples():
     for img in [(0, 1, 2), (0, 0, 0), (3, 1, 0)]:
         prod = sierpinski_product(complete(3), complete(4),
                                   VertexMap(3, 4, img))
-        assert two_packing_number(prod.graph) == 3
-    assert two_packing_number(complete(5)) == 1
-    assert two_packing_number(star(6)) == 1
+        assert max_packing(prod.graph, 2) == 3
+    assert max_packing(complete(5), 2) == 1
+    assert max_packing(star(6), 2) == 1
 
 
 def test_alpha_at_least_alpha2():
     rng = random.Random(2)
     for _ in range(30):
         g = random_tree(rng.randint(2, 14), rng)
-        assert independence_number(g) >= two_packing_number(g)
+        assert max_packing(g, 1) >= max_packing(g, 2)
 
 
 def test_exact_search_bound():
     with pytest.raises(GraphTooLargeError):
-        independence_number(path(41))
-    assert independence_number(path(41), max_order=50) == 21
+        max_packing(path(41), 1)
+    assert max_packing(path(41), 1, max_order=50) == 21
+
+
+def test_subset_search_rejects_orders_past_the_recursion_limit():
+    # the subset search recurses once per vertex kept, so on an edgeless
+    # graph once per vertex; the tree greedy does not recurse
+    n = sys.getrecursionlimit() - 100
+    assert max_packing(Graph.from_edges(n, []), 1, max_order=n) == n
+    with pytest.raises(GraphTooLargeError, match="recursion bound"):
+        max_packing(Graph.from_edges(n + 1, []), 1, max_order=n + 1)
+    assert max_packing(path(3 * n), 2, max_order=3 * n) == n
 
 
 def test_is_tree():

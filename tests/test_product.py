@@ -11,9 +11,8 @@ from sierpack.families import complete_pair_value
 from sierpack.graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, complete,
                              diameter, path, random_tree, star,
                              tree_isomorphic)
-from sierpack.product import (EdgeKind, VertexMap, automorphisms,
-                              enumerate_maps, sierpinski_chi,
-                              sierpinski_product)
+from sierpack.product import (VertexMap, automorphisms, enumerate_maps,
+                              sierpinski_chi, sierpinski_product)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -99,8 +98,9 @@ def test_connecting_edge_counts():
         assert len(prod.connecting) == 1
     prod = sierpinski_product(path(4), path(3), VertexMap.constant(4, 3, 1))
     assert len(prod.connecting) == 3
-    for edge, base_edge in prod.connecting:
-        assert prod.edge_kind(*edge) is EdgeKind.TYPE2
+    for (u, v), base_edge in prod.connecting:
+        assert prod.graph.has_edge(u, v)
+        assert (prod.base_of(u), prod.base_of(v)) == base_edge
         assert base_edge in set(path(4).edges())
     rng = random.Random(73)
     for _ in range(100):
@@ -112,16 +112,9 @@ def test_connecting_edge_counts():
         oracle = _stored_connecting(g, h, f)
         assert prod.connecting == oracle
         type2 = {e for e, _ in oracle}
-        kinds = [prod.edge_kind(u, v) for u, v in prod.graph.edges()]
-        assert kinds == [EdgeKind.TYPE2 if e in type2 else EdgeKind.TYPE1
-                         for e in prod.graph.edges()]
-        assert kinds.count(EdgeKind.TYPE2) == g.size
-        non_edges = [(u, v) for u in range(prod.graph.order)
-                     for v in range(prod.graph.order)
-                     if not prod.graph.has_edge(u, v)]
-        u, v = rng.choice(non_edges)
-        with pytest.raises(ValueError):
-            prod.edge_kind(u, v)
+        crossing = {(u, v) for u, v in prod.graph.edges()
+                    if prod.base_of(u) != prod.base_of(v)}
+        assert crossing == type2 and len(crossing) == g.size
 
 
 def test_fibers_are_copies_of_the_fiber_graph():

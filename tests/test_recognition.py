@@ -12,26 +12,7 @@ from sierpack.graphs import (Graph, _centers, free_trees, path, random_tree,
 from sierpack.product import VertexMap, sierpinski_product
 from sierpack.recognition import (Factorization, PeelStep, PeelTrace,
                                   _certify, _peel_trace, _rooting, _try_split,
-                                  pendant_split_edges, recognize_tree_product,
-                                  reconstruct_map)
-
-
-def test_pendant_split_examples():
-    assert pendant_split_edges(path(6), 3) == [(2, 3)]
-    prod = sierpinski_product(path(2), path(3), VertexMap.constant(2, 3, 0))
-    edges = pendant_split_edges(prod.graph, 3)
-    assert edges == [e for e, _ in prod.connecting]
-    assert pendant_split_edges(star(5), 2) == []
-
-
-def test_pendant_split_on_non_tree():
-    # two triangles joined by one bridge: connected, but not a tree
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                             (0, 3)])
-    with pytest.raises(ValueError):
-        pendant_split_edges(g, 3)
-    with pytest.raises(ValueError):
-        pendant_split_edges(Graph.from_edges(4, [(0, 1), (2, 3)]), 2)
+                                  recognize_tree_product, reconstruct_map)
 
 
 def test_recognize_p4():
@@ -85,11 +66,9 @@ def test_reconstruct_map_roundtrips():
 
 def test_pendant_connecting_edge_characterization():
     # the completeness lemma: in a product in any vertex order, the edges
-    # with a side of the fiber's order are exactly the connecting edges of
-    # the base tree's pendant edges, each such side is a leaf's whole fiber
-    # (both sides when n1 = 2), the edges with a side of order divisible by
-    # the fiber's are exactly the connecting edges, and every peel of the
-    # greedy order removes a whole fiber
+    # with a side of order divisible by the fiber's are exactly the
+    # connecting edges, and every peel of the greedy order removes a whole
+    # fiber
     rng = random.Random(42)
     for _ in range(100):
         n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
@@ -101,17 +80,6 @@ def test_pendant_connecting_edge_characterization():
         x = prod.graph.relabel(perm)
         fibers = [frozenset(perm[prod.vertex_of(g, h)] for h in range(n2))
                   for g in range(n1)]
-        leaf_fibers = {fibers[g] for g in range(n1) if t1.degree(g) == 1}
-        expected = {frozenset((perm[u], perm[v]))
-                    for (u, v), (g1, g2) in prod.connecting
-                    if t1.degree(g1) == 1 or t1.degree(g2) == 1}
-        split = pendant_split_edges(x, n2)
-        assert {frozenset(e) for e in split} == expected
-        for edge in split:
-            sides = [frozenset(c) for c in _components_minus_edge(x, edge)
-                     if len(c) == n2]
-            assert len(sides) == (2 if n1 == 2 else 1)
-            assert all(side in leaf_fibers for side in sides)
         rooting = _rooting(x)
         _, parent, size, _ = rooting
         assert {frozenset((c, parent[c])) for c in range(1, x.order)
@@ -119,26 +87,6 @@ def test_pendant_connecting_edge_characterization():
             {frozenset((perm[u], perm[v])) for (u, v), _ in prod.connecting}
         trace, _ = _peel_trace(x, n1, n2, rooting)
         assert all(frozenset(comp) in fibers for comp in trace.components())
-
-
-def _components_minus_edge(g, edge):
-    comps = []
-    seen = set()
-    for start in edge:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if {x, y} == set(edge) or y in comp:
-                    continue
-                comp.add(y)
-                stack.append(y)
-        comps.append(comp)
-        seen |= comp
-    return comps
 
 
 def test_completeness_small_trees():
