@@ -24,8 +24,7 @@ from .graphs import (Balls, Graph, complete, corona, diameter, distances,
 from .product import (ProductGraph, SierpinskiChiResult, VertexMap,
                       automorphisms, enumerate_maps, sierpinski_chi,
                       sierpinski_product)
-from .recognition import (Factorization, PeelStep, PeelTrace,
-                          RecognitionOutcome, recognize_tree_product,
-                          reconstruct_map)
+from .recognition import (Factorization, PeelTrace, RecognitionOutcome,
+                          recognize_tree_product, reconstruct_map)
 
 __version__ = "0.1.0"

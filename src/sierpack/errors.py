@@ -45,8 +45,8 @@ class EnumerationBudgetExceeded(SierpackError, RuntimeError):
 
 
 class ConstructionError(SierpackError, RuntimeError):
-    """A construction (a product graph or a constructive coloring) failed
-    its own verification (internal bug)."""
+    """A construction (a constructive coloring or the map behind it)
+    failed its own verification (internal bug)."""
 
 
 class ConstructionOutOfRange(SierpackError, RuntimeError):

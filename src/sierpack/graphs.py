@@ -270,7 +270,9 @@ def max_packing(g: Graph, i: int,
     could be added to P.  Swapping that vertex for v gives a largest
     packing that also agrees with keeping v.
 
-    Every other graph goes to the subset branch-and-bound.
+    Every other graph goes to the subset branch-and-bound.  It counts no
+    decision nodes, so the solver's node budget does not bound it; only
+    max_order does, and its time is exponential in the order on cycles.
     """
     n = g.order
     check_exact_order(n, max_order)

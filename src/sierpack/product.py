@@ -55,9 +55,8 @@ from typing import Iterator, Optional
 
 from .coloring import (PackingColoring, chi_rho_decision, chi_rho_exact,
                        chi_rho_lower_bound, repair_coloring)
-from .errors import (ConstructionError, EnumerationBudgetExceeded,
-                     FactorMismatchError, InputFormatError,
-                     SearchBudgetExceeded)
+from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
+                     InputFormatError, SearchBudgetExceeded)
 from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -148,12 +147,7 @@ def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
             edges.append((off + a, off + b))
     for (g1, g2) in g.edges():
         edges.append((g1 * nh + f(g2), g2 * nh + f(g1)))
-    graph = Graph.from_edges(g.order * nh, edges)
-    if graph.size != g.order * h.size + g.size:
-        raise ConstructionError(
-            f"product has {graph.size} edges, expected "
-            f"{g.order * h.size + g.size}")
-    return ProductGraph(graph, g, h, f)
+    return ProductGraph(Graph.from_edges(g.order * nh, edges), g, h, f)
 
 
 # ---------------------------------------------------------------------------

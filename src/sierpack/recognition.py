@@ -45,7 +45,7 @@ split for which x is not a product no ψ certifies, whatever was chosen.
 
 Cost.  One rooting per input.  A split costs O(n1) when it is rejected by
 the size counts, and otherwise O(n) for the cut, plus O(n1 log n1) for the
-heap and O(n log n2) for sorting components and children: no depth term.
+heap and O(n log n2) for sorting children: no depth term.
 Each component is labelled once, rooted at a center or at its near
 endpoint, in one AHU table per split (Aho, Hopcroft and Ullman 1974); the
 fiber's labellings are cached per root.  The certificate is one pass over
@@ -60,7 +60,7 @@ from typing import Optional
 
 from .errors import InconsistentTraceError
 from .graphs import (Graph, Labelled, _ahu_labels, _centers, _pair_rooted,
-                     is_tree, tree_canonical_form, tree_preorder)
+                     is_tree, tree_preorder)
 from .product import VertexMap
 
 
@@ -68,37 +68,20 @@ from .product import VertexMap
 # peel traces and map reconstruction
 
 @dataclass(frozen=True)
-class PeelStep:
-    base_vertex: int           # index of the peeled fiber in the base tree
-    edge: tuple[int, int]      # (near, far): near lies in the peeled fiber
-    component: tuple[int, ...]  # vertices of the peeled fiber, sorted
-
-
-@dataclass(frozen=True)
 class PeelTrace:
+    """The cut of one split.  owner[v] is the base vertex whose fiber holds
+    v, base vertices numbered in peel order; links[i] = (near, far) is the
+    edge that peeled base vertex i < n1 - 1, with near in its fiber."""
+
     source: Graph
-    steps: tuple[PeelStep, ...]
-    final_component: tuple[int, ...]  # the last fiber; base index len(steps)
-
-    def components(self) -> list[tuple[int, ...]]:
-        return [s.component for s in self.steps] + [self.final_component]
-
-    def base_edges(self) -> list[tuple[int, int]]:
-        owner = self.owner_of()
-        return [(s.base_vertex, owner[s.edge[1]]) for s in self.steps]
-
-    def owner_of(self) -> dict[int, int]:
-        owner = {}
-        for i, comp in enumerate(self.components()):
-            for v in comp:
-                owner[v] = i
-        return owner
+    owner: tuple[int, ...]
+    links: tuple[tuple[int, int], ...]
 
 
 def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
     """Rebuild the connecting function from a completed peel, and certify it.
 
-    The peel steps are replayed newest-first.  Each step's far endpoint
+    The peel links are replayed newest-first.  Each link's far endpoint
     fixes f at the peeled base vertex through the already-chosen
     isomorphism of the neighbor component, and its near endpoint either
     fixes f at the neighbor or constrains the peeled component's
@@ -108,19 +91,19 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
     isomorphism honors a constraint or when the explicit isomorphism ψ of
     the module docstring fails on some vertex or edge.
     """
-    x, comps, n2 = trace.source, trace.components(), fiber.order
-    k = len(comps)
+    x, owner, n2 = trace.source, trace.owner, fiber.order
+    k = len(trace.links) + 1
     if base.order != k:
         raise InconsistentTraceError("base order does not match the trace")
-    if x.order != k * n2 or any(len(comp) != n2 for comp in comps):
+    if len(owner) != x.order or min(owner) < 0 or max(owner) >= k:
+        raise InconsistentTraceError("the owners do not number the input's "
+                                     "vertices by base vertex")
+    comps: list[list[int]] = [[] for _ in range(k)]
+    for v, i in enumerate(owner):  # sorted, for free's least center
+        comps[i].append(v)
+    if any(len(comp) != n2 for comp in comps):
         raise InconsistentTraceError("components do not all have the "
                                      "fiber's order")
-    owner = [-1] * x.order
-    for i, comp in enumerate(comps):
-        for v in comp:
-            owner[v] = i
-    if -1 in owner:
-        raise InconsistentTraceError("the components do not cover the input")
     table: dict = {}
     zeros = bytes(n2)
     fiber_at: dict[int, Labelled] = {}  # the fiber rooted at each key
@@ -147,9 +130,8 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
     if not free(k - 1):
         raise InconsistentTraceError("final component is not a copy of the "
                                      "fiber")
-    for step in reversed(trace.steps):
-        i = step.base_vertex
-        near, far = step.edge
+    for i in range(k - 2, -1, -1):
+        near, far = trace.links[i]
         j = owner[far]
         if img[far] < 0 or owner[near] != i:
             raise InconsistentTraceError(
@@ -227,7 +209,7 @@ class RecognitionOutcome:
 
 def recognize_tree_product(x: Graph) -> RecognitionOutcome:
     """Decide whether x is the product of two trees on >= 2 vertices each,
-    returning one certified factorization per distinct (base, fiber) shape.
+    returning one certified factorization per split (n1, n2) that factors.
 
     Every factorization returned has been certified by an explicit
     isomorphism onto the rebuilt product; failures are reported per order
@@ -245,16 +227,12 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
         return RecognitionOutcome("not_a_product", [], diagnostics)
 
     found: list[Factorization] = []
-    seen_shapes: set[tuple[str, str]] = set()
     rooting = _rooting(x)
     for n1, n2 in splits:
         fact, reason = _try_split(x, n1, n2, rooting)
         if fact is None:
             diagnostics[f"{n1}x{n2}"] = reason
-            continue
-        shape = (tree_canonical_form(fact.base), tree_canonical_form(fact.fiber))
-        if shape not in seen_shapes:
-            seen_shapes.add(shape)
+        else:
             found.append(fact)
     status = "factored" if found else "not_a_product"
     return RecognitionOutcome(status, found, diagnostics)
@@ -289,49 +267,50 @@ def _peel_trace(x: Graph, n1: int, n2: int, rooting: _Rooting
         return None, (f"{cuts} edges have a side of order divisible by "
                       f"{n2}, not n1 - 1 = {n1 - 1}")
     owner = [0] * x.order
-    comps: list[list[int]] = [[0]]
-    links = [0] * n1   # xor of the cut vertices on a component's cut edges
+    k = 1              # components found so far
+    xor_cut = [0] * n1  # xor of the cut vertices on a component's cut edges
     degree = [0] * n1  # number of cut edges left at a component
     for v in order[1:]:
         if size[v] % n2:
             owner[v] = owner[parent[v]]
-            comps[owner[v]].append(v)
         else:
-            i, j = len(comps), owner[parent[v]]
-            owner[v] = i
-            comps.append([v])
-            links[i] = v
-            links[j] ^= v
-            degree[i] = 1
+            j = owner[parent[v]]
+            owner[v] = k
+            xor_cut[k] = v
+            xor_cut[j] ^= v
+            degree[k] = 1
             degree[j] += 1
+            k += 1
 
     def key(i: int) -> tuple[int, int, int]:
-        c, p = links[i], parent[links[i]]
+        c, p = xor_cut[i], parent[xor_cut[i]]
         return (c, p, i) if c < p else (p, c, i)
 
     heap = [key(i) for i in range(n1) if degree[i] == 1]
     heapify(heap)
-    steps: list[PeelStep] = []
-    for _ in range(n1 - 2):
+    rank = [0] * n1  # base index of each component, in peel order
+    links: list[tuple[int, int]] = []
+    for step in range(n1 - 2):
         i = heappop(heap)[2]
-        c = links[i]
+        c = xor_cut[i]
         near, far = (c, parent[c]) if owner[c] == i else (parent[c], c)
-        steps.append(PeelStep(len(steps), (near, far), tuple(sorted(comps[i]))))
+        rank[i] = step
+        links.append((near, far))
         j = owner[far]
-        links[j] ^= c
+        xor_cut[j] ^= c
         degree[j] -= 1
         if degree[j] == 1:
             heappush(heap, key(j))
     # two components left, joined by one edge: peel the side without the
     # lowest vertex left
-    c = links[heap[0][2]]
+    c = xor_cut[heap[0][2]]
     near, far = c, parent[c]
-    sides = [tuple(sorted(comps[owner[near]])), tuple(sorted(comps[owner[far]]))]
-    if sides[0][0] < sides[1][0]:
-        near, far = far, near
-        sides.reverse()
-    steps.append(PeelStep(len(steps), (near, far), sides[0]))
-    return PeelTrace(x, tuple(steps), sides[1]), "ok"
+    a, b = owner[near], owner[far]
+    if owner[next(v for v, i in enumerate(owner) if i == a or i == b)] == a:
+        near, far, a, b = far, near, b, a
+    rank[a], rank[b] = n1 - 2, n1 - 1
+    links.append((near, far))
+    return PeelTrace(x, tuple(rank[i] for i in owner), tuple(links)), "ok"
 
 
 def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
@@ -340,8 +319,10 @@ def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
     trace, reason = _peel_trace(x, n1, n2, rooting)
     if trace is None:
         return None, reason
-    base = Graph.from_edges(n1, trace.base_edges())
-    fiber = x.induced(trace.steps[0].component)
+    owner = trace.owner
+    base = Graph.from_edges(n1, [(i, owner[far])
+                                 for i, (_, far) in enumerate(trace.links)])
+    fiber = x.induced([v for v, i in enumerate(owner) if i == 0])
     try:
         vmap = reconstruct_map(trace, base, fiber)
     except InconsistentTraceError as exc:

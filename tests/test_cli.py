@@ -510,6 +510,25 @@ def test_recognize_golden(capsys, tmp_path, case):
         sorted(recorded["payload"]["diagnostics"])
 
 
+@pytest.mark.parametrize("case", ["P12xP16", "T8xT9-shuffled"])
+def test_recognize_computes_no_canonical_form(capsys, tmp_path, monkeypatch,
+                                              case):
+    # every split has its own fiber order, so no two factorizations can
+    # share a shape and no canonical form is needed to tell them apart
+    import sierpack.graphs
+
+    def refuse(*args):
+        raise AssertionError("recognize computed a tree canonical form")
+
+    monkeypatch.setattr(sierpack.graphs, "_rooted_canon", refuse)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(emit_graph_text(_recognize_inputs()[case]))
+    code, payload = _run(capsys, "recognize", str(gfile))
+    assert code == 0 and payload["status"] == "factored"
+    assert payload["factorizations"] == \
+        RECOGNIZE_GOLDEN[case]["payload"]["factorizations"]
+
+
 # product outputs pinned byte for byte in product_golden.json: stdout with
 # the graph inline, and stdout, --out and --dot of a run writing both files
 PRODUCT_GOLDEN = json.loads(

@@ -10,9 +10,17 @@ from sierpack.graphs import (Graph, _centers, free_trees, path, random_tree,
                              star, tree_canonical_form, tree_iso_map,
                              tree_isomorphic, tree_preorder)
 from sierpack.product import VertexMap, sierpinski_product
-from sierpack.recognition import (Factorization, PeelStep, PeelTrace,
-                                  _certify, _peel_trace, _rooting, _try_split,
+from sierpack.recognition import (Factorization, PeelTrace, _certify,
+                                  _peel_trace, _rooting, _try_split,
                                   recognize_tree_product, reconstruct_map)
+
+
+def _components(trace):
+    """The fibers of a trace, by base vertex, each in vertex order."""
+    comps = [[] for _ in range(len(trace.links) + 1)]
+    for v, i in enumerate(trace.owner):
+        comps[i].append(v)
+    return comps
 
 
 def test_recognize_p4():
@@ -86,7 +94,7 @@ def test_pendant_connecting_edge_characterization():
                 if size[c] % n2 == 0} == \
             {frozenset((perm[u], perm[v])) for (u, v), _ in prod.connecting}
         trace, _ = _peel_trace(x, n1, n2, rooting)
-        assert all(frozenset(comp) in fibers for comp in trace.components())
+        assert all(frozenset(comp) in fibers for comp in _components(trace))
 
 
 def test_completeness_small_trees():
@@ -290,7 +298,7 @@ def test_split_candidates_match_eager_oracle():
         rng.shuffle(perm)
         x = x.relabel(perm)
         trace, _ = _peel_trace(x, n1, n2, _rooting(x))
-        owner = trace.owner_of()
+        owner = trace.owner
         remaining = frozenset(range(x.order))
         left = set(range(n1))
         # walk one random peel path: at every step the eager candidates,
@@ -379,13 +387,13 @@ def _rebuilt_peel(x, n2):
         elif not _same_tree(sub, reference):
             return None, (f"peeled component at step {len(steps)} is not "
                           "isomorphic to the first fiber")
-        steps.append(PeelStep(len(steps), (near, far), comp))
+        steps.append((len(steps), (near, far), comp))
         for v in comp:
             peeled[v] = 1
     final = tuple(v for v in range(x.order) if not peeled[v])
     if not _same_tree(x.induced(final), reference):
         return None, "last remaining component does not match the fiber"
-    return PeelTrace(x, tuple(steps), final), "ok"
+    return (steps, final), "ok"
 
 
 def _same_tree(t1, t2):
@@ -437,13 +445,21 @@ def _old_rooted_tree_iso_map(t1, r1, t2, r2):
                             t2, r2, _old_ahu_labels(t2.adj, r2, table))
 
 
-def _old_reconstruct_map(trace, base, fiber):
-    comps = trace.components()
+def _old_owner(steps, final):
+    owner = {}
+    for i, comp in enumerate([comp for _, _, comp in steps] + [final]):
+        for v in comp:
+            owner[v] = i
+    return owner
+
+
+def _old_reconstruct_map(x, steps, final, base, fiber):
+    comps = [comp for _, _, comp in steps] + [final]
     if base.order != len(comps):
         raise InconsistentTraceError("base order does not match the trace")
-    owner = trace.owner_of()
+    owner = _old_owner(steps, final)
     locals_ = [{v: j for j, v in enumerate(comp)} for comp in comps]
-    subtrees = [trace.source.induced(comp) for comp in comps]
+    subtrees = [x.induced(comp) for comp in comps]
     phi = [None] * len(comps)
     fval = {i: None for i in range(len(comps))}
 
@@ -453,9 +469,7 @@ def _old_reconstruct_map(trace, base, fiber):
         raise InconsistentTraceError("final component is not a copy of the fiber")
     phi[last] = {v: m[locals_[last][v]] for v in comps[last]}
 
-    for step in reversed(trace.steps):
-        i = step.base_vertex
-        near, far = step.edge
+    for i, (near, far), _ in reversed(steps):
         j = owner[far]
         if phi[j] is None:
             raise InconsistentTraceError(
@@ -485,17 +499,22 @@ def _old_reconstruct_map(trace, base, fiber):
 
 
 def _oracle_split(x, n1, n2):
-    trace, _ = _rebuilt_peel(x, n2)
-    if trace is None:
+    peel, _ = _rebuilt_peel(x, n2)
+    if peel is None:
         return None
-    base = Graph.from_edges(n1, trace.base_edges())
-    fiber = x.induced(trace.steps[0].component)
+    steps, final = peel
+    owner = _old_owner(steps, final)
+    base = Graph.from_edges(n1, [(i, owner[far]) for i, (_, far), _ in steps])
+    fiber = x.induced(steps[0][2])
     try:
-        vmap = _old_reconstruct_map(trace, base, fiber)
+        vmap = _old_reconstruct_map(x, steps, final, base, fiber)
     except InconsistentTraceError:
         return None
     if not _same_tree(sierpinski_product(base, fiber, vmap).graph, x):
         return None
+    # the same cut in the recognizer's form, to compare with _try_split
+    trace = PeelTrace(x, tuple(owner[v] for v in range(x.order)),
+                      tuple(edge for _, edge, _ in steps))
     return Factorization(base, fiber, vmap, trace)
 
 
@@ -543,9 +562,9 @@ def test_isomorphic_components_that_fit_no_map_are_rejected():
         n1, n2, x = _moved_connecting_edge(rng)
         rooting = _rooting(x)
         trace, _ = _peel_trace(x, n1, n2, rooting)
-        fiber = x.induced(trace.steps[0].component)
-        assert all(tree_isomorphic(x.induced(comp), fiber)
-                   for comp in trace.components())
+        comps = _components(trace)
+        fiber = x.induced(comps[0])
+        assert all(tree_isomorphic(x.induced(comp), fiber) for comp in comps)
         fact, _ = _try_split(x, n1, n2, rooting)
         assert fact == _oracle_split(x, n1, n2)
         rejected += fact is None
@@ -593,11 +612,10 @@ def test_reconstruct_map_rejects_a_trace_with_a_wrong_map_edge():
     out = recognize_tree_product(prod.graph)
     fact = next(f for f in out.factorizations if f.base.order == 3)
     trace = fact.peel_trace
-    step = trace.steps[0]
-    other = next(v for v in step.component if v != step.edge[0])
-    moved = PeelStep(step.base_vertex, (other, step.edge[1]), step.component)
-    bad = PeelTrace(trace.source, (moved,) + trace.steps[1:],
-                    trace.final_component)
+    near, far = trace.links[0]
+    other = next(v for v in _components(trace)[0] if v != near)
+    bad = PeelTrace(trace.source, trace.owner,
+                    ((other, far),) + trace.links[1:])
     with pytest.raises(InconsistentTraceError):
         reconstruct_map(bad, fact.base, fact.fiber)
 
@@ -623,15 +641,29 @@ def test_reconstruct_map_rejects_a_base_or_fiber_that_does_not_fit():
 def test_reconstruct_map_rejects_components_that_are_not_trees():
     # every second vertex of a path: each component is edgeless
     x = path(6)
-    trace = PeelTrace(x, (PeelStep(0, (4, 5), (0, 2, 4)),), (1, 3, 5))
+    trace = PeelTrace(x, (0, 1, 0, 1, 0, 1), ((4, 5),))
     with pytest.raises(InconsistentTraceError):
         reconstruct_map(trace, path(2), path(3))
     # a source with a cycle, cut into two triangles
     x = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                              (2, 3)])
-    trace = PeelTrace(x, (PeelStep(0, (3, 2), (3, 4, 5)),), (0, 1, 2))
+    trace = PeelTrace(x, (1, 1, 1, 0, 0, 0), ((3, 2),))
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(InconsistentTraceError):
         reconstruct_map(trace, path(2), path(3))
     # the certificate itself holds beyond trees: this is K2 ⊗ K3
     assert reconstruct_map(trace, path(2), triangle).base_order == 2
+
+
+def test_reconstruct_map_rejects_owners_that_do_not_number_the_input():
+    # an owner array of the wrong length, or with a value outside
+    # 0..len(links), is an inconsistent trace, not an IndexError
+    prod = sierpinski_product(path(3), path(3), VertexMap.constant(3, 3, 0))
+    fact = next(f for f in recognize_tree_product(prod.graph).factorizations
+                if f.base.order == 3)
+    trace = fact.peel_trace
+    for owner in (trace.owner[:-1], trace.owner + (0,),
+                  trace.owner[:-1] + (3,), (-1,) + trace.owner[1:]):
+        bad = PeelTrace(trace.source, owner, trace.links)
+        with pytest.raises(InconsistentTraceError):
+            reconstruct_map(bad, fact.base, fact.fiber)
