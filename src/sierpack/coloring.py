@@ -21,7 +21,9 @@ is a deterministic branch-and-bound over distance-ball bitmasks:
 
 The capacity sum also seeds the ascending search for the exact value: the
 smallest k with alpha_1 + ... + alpha_k >= n is a valid lower bound, and on
-diameter-3 graphs it reduces to 2 + (n - alpha - alpha_2).
+diameter-3 graphs it reduces to 2 + (n - alpha - alpha_2).  chi_rho_exact
+is that search, the only one: its below argument stops it short, which is
+how product.sierpinski_chi bounds each map by the best value so far.
 
 UNSAT answers are proofs of exhaustion, never timeouts: an optional node
 budget aborts the search with SearchBudgetExceeded, which is a distinct
@@ -31,8 +33,10 @@ chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
 Both read the cached distance balls (graphs.distances); the certificate
 check, verify_packing_coloring, reads none and shares no state with them.
-packing_capacity and chi_rho_decision check the order before any balls are
-built; the decision search also the recursion room (check_recursion_room).
+packing_capacity, chi_rho_decision and chi_rho_exact check the order before
+any balls are built; the decision search also the recursion room
+(check_recursion_room), and chi_rho_exact the connectivity before any class
+capacity.
 """
 
 from __future__ import annotations
@@ -273,21 +277,25 @@ def chi_rho_decision(g: Graph, k: int, *,
     return None
 
 
-def chi_rho_exact(g: Graph, *,
+def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
                   node_budget: Optional[int] = None,
                   max_order: int = DEFAULT_SOLVER_BOUND
-                  ) -> tuple[int, PackingColoring]:
+                  ) -> Optional[tuple[int, PackingColoring]]:
     """The packing chromatic number with a verifying witness, by ascending
-    decision calls starting from the capacity lower bound."""
-    if g.order == 1:
-        return 1, PackingColoring.from_colors([1])
+    decision calls starting from the capacity lower bound.  With below,
+    only the k < below are decided, and None means every one is UNSAT.
+    The order and connectivity are checked before any class capacity."""
+    check_exact_order(g.order, max_order)
+    if not distances(g).connected:
+        raise DisconnectedGraphError("chi_rho_decision requires a connected graph")
     k = chi_rho_lower_bound(g, max_order)
-    while True:
+    while below is None or k < below:
         witness = chi_rho_decision(g, k, node_budget=node_budget,
                                    max_order=max_order)
         if witness is not None:
             return k, witness
         k += 1
+    return None
 
 
 def repair_coloring(g: Graph, start: Sequence[int], cap: int

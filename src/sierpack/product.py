@@ -5,44 +5,40 @@ G (x)_f H has vertex set V(G) x V(H).  Each base vertex g carries a copy of
 H (Type-1 edges), and each base edge gg' contributes the single connecting
 edge (g, f(g'))-(g', f(g)) (Type-2).  Vertex (g, h) gets index g*n(H) + h.
 
-sierpinski_chi solves the first map exactly; every later map is first
-screened against the best value so far.  The screen runs the decision calls
-chi_rho_exact would make, ascending from the lower bound, so it never
-decides a k above the map's packing chromatic number (SAT far above it is
-the slow case):
+sierpinski_chi settles every map by repair or by chi_rho_exact, which
+decides k upward from the map's lower bound and stops at the first SAT, so
+no k above the map's packing chromatic number is decided (SAT far above it
+is the slow case):
 
-* min: decide k = lower bound .. best - 1; the map improves iff one is SAT,
-  and that SAT decision's k and coloring are its value and witness;
-* max: skip the map if a coloring with at most best colors is found with
-  no search, by repairing one of the last POOL_SIZE witness colorings of
-  the run or by the degree-descending greedy; otherwise decide k = lower
-  bound .. best, and the map improves iff all are UNSAT, in which case the
-  decisions go on above best to the first SAT, which gives the value and
-  witness.
+* min: chi_rho_exact(x, below=best) decides only the k below the best so
+  far; a SAT is an improvement, and its k and coloring are the map's value
+  and witness;
+* max: the map is skipped if a coloring with at most best colors is found
+  with no search, by repairing one of the last POOL_SIZE witness colorings
+  of the run or by the degree-descending greedy; otherwise chi_rho_exact(x)
+  gives its value and witness, and the map improves iff the value is above
+  best.
 
-A map that improves is therefore never solved a second time.
+With no best yet, both modes are a plain chi_rho_exact(x).
 
-The pool holds the colors of the first map's witness, of each
-improvement's witness and of every SAT a max screen decides at k <= best,
-most recent first; a coloring that settles a map moves to the front.  All
-products of one run share their vertex indexing, and maps that are close in
+The pool holds the colors of every witness a max run solves, most recent
+first; a coloring that settles a map moves to the front.  All products of
+one run share their vertex indexing, and maps that are close in
 lexicographic order differ in a few connecting edges, so a recent witness
 often needs only a few vertices recolored (coloring.repair_coloring).  A
 repair within best colors proves chi_rho <= best, so the map is settled
 with no lower bound and no decision.
 
-sierpinski_chi screens only the orbit representatives enumerate_maps
-yields with reduce_symmetry.  A map left out is settled with no product
-and no decision: its orbit's lexmin came earlier, the two products are
+sierpinski_chi settles only the orbit representatives enumerate_maps
+yields with reduce_symmetry.  A map left out is settled with no product and no
+decision: its orbit's lexmin came earlier, the two products are
 isomorphic, and best only moves toward the optimum, so it cannot beat best.
-reduce_symmetry only chooses whether explored counts the maps screened or,
+reduce_symmetry only chooses whether explored counts the maps settled or,
 by lex rank, every map up to the last one settled.
 
-Each screen call is a call chi_rho_exact makes on that map with the same
-per-call node budget, and an orbit skip or a repair makes none, so a run
-that completes when every map is solved in full completes with the screens
-and skips, with the same value, witness map, witness coloring and explored
-count; under a budget it gets at least as far.
+Every decision of a run is one chi_rho_exact makes on that map, with the
+same per-call node budget, so under a budget a run gets at least as far as
+solving every map in full would.
 """
 
 from __future__ import annotations
@@ -53,8 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .coloring import (PackingColoring, chi_rho_decision, chi_rho_exact,
-                       chi_rho_lower_bound, repair_coloring)
+from .coloring import PackingColoring, chi_rho_exact, repair_coloring
 from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
                      InputFormatError, SearchBudgetExceeded)
 from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
@@ -255,38 +250,16 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
     return None
 
 
-def _improvement(x: Graph, mode: str, best: int,
-                 node_budget: Optional[int], max_order: int,
-                 pool: Optional[deque] = None
-                 ) -> Optional[tuple[int, PackingColoring]]:
-    """chi_rho(x) with a witness when it beats best in mode, else None: for
-    min, some k below best is SAT; for max, every k up to best is UNSAT,
-    and the decisions go on above best to the first SAT.  Decisions ascend
-    from the lower bound and stop at the first SAT, so they are the calls
-    chi_rho_exact(x) makes, and no k above chi_rho(x) is decided.  A max
-    screen first repairs each coloring of pool, then the empty one (the
-    greedy); a hit moves to the front of pool, and a SAT witness decided
-    at k <= best joins it."""
-    if mode == "max":
-        for i, colors in enumerate(pool or ()):
-            if repair_coloring(x, colors, best) is not None:
-                del pool[i]
-                pool.appendleft(colors)
-                return None
-        if repair_coloring(x, (0,) * x.order, best) is not None:
-            return None
-    k = chi_rho_lower_bound(x, max_order)
-    while mode == "max" or k < best:
-        witness = chi_rho_decision(x, k, node_budget=node_budget,
-                                   max_order=max_order)
-        if witness is not None:
-            if mode == "min" or k > best:
-                return k, witness
-            if pool is not None:
-                pool.appendleft(witness.colors)
-            return None
-        k += 1
-    return None
+def _repaired(x: Graph, pool: deque, best: int) -> bool:
+    """Whether a coloring of x with at most best colors is found with no
+    search, by repairing each coloring of pool, then the empty one (the
+    greedy).  A pool coloring that succeeds moves to the front."""
+    for i, colors in enumerate(pool):
+        if repair_coloring(x, colors, best) is not None:
+            del pool[i]
+            pool.appendleft(colors)
+            return True
+    return repair_coloring(x, (0,) * x.order, best) is not None
 
 
 def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
@@ -300,9 +273,8 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
 
     The witness is the first map, in enumeration order, that attains the
     optimum.  The maps are those enumerate_maps yields with reduce_symmetry;
-    every one after the first goes through the screen of _improvement,
-    which hands back the map's value and witness when it beats the best.
-    explored counts the settled maps: the maps screened, or without
+    each is settled by a repair or by chi_rho_exact bounded by the best so
+    far.  explored counts the settled maps: those yielded, or without
     reduce_symmetry every map up to the last one settled.  Budget exhaustion
     (enumeration bound or solver node budget) yields a partial result with
     complete=False and the explored count.
@@ -319,21 +291,26 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     try:
         for f in enumerate_maps(g, h, True, enum_bound):
             if not reduce_symmetry:
-                # every map before f in lex order is settled: by a screen,
-                # or left out because its orbit's lexmin came earlier
+                # every map before f in lex order is settled: by a solve,
+                # a repair, or left out because its orbit's lexmin came
+                # earlier
                 explored = functools.reduce(lambda r, v: r * h.order + v,
                                             f.image, 0)
             x = sierpinski_product(g, h, f).graph
-            if best is None:
+            if mode == "min":
+                solved = chi_rho_exact(x, below=best, node_budget=node_budget,
+                                       max_order=max_order)
+            elif best is not None and _repaired(x, pool, best):
+                solved = None
+            else:
                 solved = chi_rho_exact(x, node_budget=node_budget,
                                        max_order=max_order)
-            else:
-                solved = _improvement(x, mode, best, node_budget, max_order,
-                                      pool)
+                pool.appendleft(solved[1].colors)
+                if best is not None and solved[0] <= best:
+                    solved = None
             if solved is not None:
                 best, best_col = solved
                 best_map = f
-                pool.appendleft(best_col.colors)
             explored += 1
             if best == floor:
                 # no f can go below the floor, so the minimum is settled

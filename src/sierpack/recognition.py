@@ -98,6 +98,9 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
     if len(owner) != x.order or min(owner) < 0 or max(owner) >= k:
         raise InconsistentTraceError("the owners do not number the input's "
                                      "vertices by base vertex")
+    if not all(0 <= v < x.order for link in trace.links for v in link):
+        raise InconsistentTraceError("a link endpoint is not a vertex of "
+                                     "the input")
     comps: list[list[int]] = [[] for _ in range(k)]
     for v, i in enumerate(owner):  # sorted, for free's least center
         comps[i].append(v)

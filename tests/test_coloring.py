@@ -129,6 +129,24 @@ def test_order_is_checked_before_any_balls_are_built(monkeypatch):
         chi_rho_decision(path(100), 3)
 
 
+def test_connectivity_is_checked_before_any_class_capacity(monkeypatch):
+    # alpha_c of two disjoint C26 takes about a minute, so a disconnected
+    # graph must be rejected before any class capacity is computed
+    def no_capacity(g, c, max_order):
+        raise AssertionError("class capacity computed")
+    monkeypatch.setattr("sierpack.coloring.max_packing", no_capacity)
+    two_cycles = Graph.from_edges(8, [(c + v, c + (v + 1) % 4)
+                                      for c in (0, 4) for v in range(4)])
+    with pytest.raises(DisconnectedGraphError):
+        chi_rho_exact(two_cycles)
+
+
+def test_exact_below_decides_only_smaller_k():
+    assert chi_rho_exact(complete(5), below=5) is None
+    assert chi_rho_exact(complete(5), below=6)[0] == 5
+    assert chi_rho_exact(path(1)) == (1, PackingColoring((1,), 1))
+
+
 def test_decision_rejects_orders_past_the_recursion_limit(monkeypatch):
     # the search recurses once per vertex; the bound follows the limit
     # and leaves room for the callers, so the largest order it lets

@@ -1,16 +1,15 @@
 import random
-from itertools import permutations, product as iproduct
+from itertools import groupby, permutations, product as iproduct
 
 import pytest
 
-from sierpack import product
-from sierpack.coloring import chi_rho_exact
+from sierpack import coloring, product
+from sierpack.coloring import chi_rho_exact, chi_rho_lower_bound
 from sierpack.errors import (EnumerationBudgetExceeded, FactorMismatchError,
                              InputFormatError, SearchBudgetExceeded)
 from sierpack.families import complete_pair_value
-from sierpack.graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, complete,
-                             diameter, path, random_tree, star,
-                             tree_isomorphic)
+from sierpack.graphs import (Graph, complete, diameter, path, random_tree,
+                             star, tree_isomorphic)
 from sierpack.product import (VertexMap, automorphisms, enumerate_maps,
                               sierpinski_chi, sierpinski_product)
 
@@ -472,27 +471,34 @@ def test_orbit_test_cuts_a_huge_group_to_the_map_count(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["min", "max"])
 def test_screen_never_decides_above_chi_rho(monkeypatch, mode):
-    # SAT far above chi_rho is heavy-tailed, so the screen must only ever
+    # SAT far above chi_rho is heavy-tailed, so a run must only ever
     # decide a prefix of the ascending search, even when the best so far
     # is far from the map's value
     seen = []
-    decide = product.chi_rho_decision
+    decide = coloring.chi_rho_decision
 
     def recording(x, k, **kwargs):
         seen.append((x, k))
         return decide(x, k, **kwargs)
 
-    monkeypatch.setattr(product, "chi_rho_decision", recording)
+    monkeypatch.setattr(coloring, "chi_rho_decision", recording)
     result = sierpinski_chi(star(4), star(4), mode, reduce_symmetry=True)
+    monkeypatch.undo()
     assert result.complete and seen
     for f in list(enumerate_maps(star(4), star(4), reduce_symmetry=True))[:8]:
         x = sierpinski_product(star(4), star(4), f).graph
         far = chi_rho_exact(x)[0] + 3
-        assert (product._improvement(x, mode, far, None,
-                                     DEFAULT_EXACT_SEARCH_BOUND)
-                is not None) == (mode == "min")
+        if mode == "min":
+            assert chi_rho_exact(x, below=far) is not None
+        else:
+            assert chi_rho_exact(x)[0] <= far
     for x, k in seen:
         assert k <= chi_rho_exact(x)[0]
+    # each map's decisions run consecutively up from its lower bound
+    for x, calls in groupby(seen, key=lambda call: call[0]):
+        ks = [k for _, k in calls]
+        start = chi_rho_lower_bound(x)
+        assert ks == list(range(start, start + len(ks)))
 
 
 @pytest.mark.parametrize("g, h, value, most", [
@@ -504,13 +510,13 @@ def test_max_screen_repairs_witnesses_before_deciding(monkeypatch, g, h,
     # a repaired witness coloring with at most best colors settles a map
     # with no decision, so most maps of a max run cost no search
     seen = []
-    decide = product.chi_rho_decision
+    decide = coloring.chi_rho_decision
 
     def recording(x, k, **kwargs):
         seen.append(k)
         return decide(x, k, **kwargs)
 
-    monkeypatch.setattr(product, "chi_rho_decision", recording)
+    monkeypatch.setattr(coloring, "chi_rho_decision", recording)
     result = sierpinski_chi(g, h, "max")
     assert result.complete and result.value == value
     assert result.explored == h.order ** g.order

@@ -667,3 +667,12 @@ def test_reconstruct_map_rejects_owners_that_do_not_number_the_input():
         bad = PeelTrace(trace.source, owner, trace.links)
         with pytest.raises(InconsistentTraceError):
             reconstruct_map(bad, fact.base, fact.fiber)
+
+
+@pytest.mark.parametrize("link", [(1, 99), (-3, 2)])
+def test_reconstruct_map_rejects_link_endpoints_outside_the_input(link):
+    # an endpoint past the input, or a negative one that would index
+    # owner from the end, is an inconsistent trace
+    bad = PeelTrace(path(4), (0, 0, 1, 1), (link,))
+    with pytest.raises(InconsistentTraceError):
+        reconstruct_map(bad, path(2), path(2))
