@@ -12,9 +12,10 @@ is a deterministic branch-and-bound over distance-ball bitmasks:
   feasible color;
 * each color class of color c has at most alpha_c vertices (the exact
   c-packing number, computed once per graph by graphs.max_packing: one
-  deepest-first greedy pass on trees, a subset branch-and-bound otherwise),
-  and a partial assignment is abandoned when the remaining class capacities
-  cannot cover the uncolored vertices;
+  deepest-first greedy pass on trees, otherwise a clique-cover
+  branch-and-bound, the maximum-clique search of Tomita and Seki 2003 run
+  on the complement), and a partial assignment is abandoned when the
+  remaining class capacities cannot cover the uncolored vertices;
 * a color c with alpha_c = 1 bans every vertex once used, so unused colors
   of that kind are interchangeable and only the smallest is tried.  This
   symmetry rule does not depend on the order vertices are colored in.
@@ -287,7 +288,7 @@ def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
     The order and connectivity are checked before any class capacity."""
     check_exact_order(g.order, max_order)
     if not distances(g).connected:
-        raise DisconnectedGraphError("chi_rho_decision requires a connected graph")
+        raise DisconnectedGraphError("chi_rho_exact requires a connected graph")
     k = chi_rho_lower_bound(g, max_order)
     while below is None or k < below:
         witness = chi_rho_decision(g, k, node_budget=node_budget,

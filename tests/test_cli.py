@@ -94,6 +94,16 @@ def _rejected_alone(capsys, code):
         captured.err.count("\n") == 1
 
 
+def test_chirho_rejects_a_disconnected_graph_in_its_own_words(capsys,
+                                                              tmp_path):
+    gfile = tmp_path / "two-edges.txt"
+    gfile.write_text(emit_graph_text(Graph.from_edges(4, [(0, 1), (2, 3)])))
+    code = main(["chirho", str(gfile)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("rejected: ")
+    assert "connected" in err and "chi_rho_decision" not in err
+
+
 def test_chirho_path_past_the_recursion_limit(capsys, tmp_path):
     # the tree greedy gives the lower bound; the decision search would
     # recurse once per vertex

@@ -2,10 +2,12 @@
 
 chi_rho_exact is checked against chi_rho_naive, which keeps index order
 and no bounds.  The deepest-first greedy that max_packing runs on trees is
-checked against the subset branch-and-bound it replaces there.
+checked against the clique-cover branch-and-bound it replaces there, and
+that search against a plain subset enumeration over BFS distances.
 """
 
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -75,3 +77,60 @@ def test_exact_agrees_with_naive_and_is_minimal(g):
     assert witness.k == value
     assert verify_packing_coloring(g, witness).ok
     assert chi_rho_decision(g, value - 1) is None
+
+
+def _plain_packing_number(g, i):
+    """Largest set of vertices pairwise more than i apart, by trying every
+    subset of each size upward; packings are closed under subsets, so the
+    first size with none ends the search."""
+    dist = []
+    for s in range(g.order):
+        d = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in g.adj[v]:
+                if w not in d:
+                    d[w] = d[v] + 1
+                    queue.append(w)
+        dist.append(d)
+    best = 0
+    for r in range(1, g.order + 1):
+        if not any(all(dist[u].get(v, i + 1) > i
+                       for u, v in combinations(sub, 2))
+                   for sub in combinations(range(g.order), r)):
+            break
+        best = r
+    return best
+
+
+@PROPERTY
+@given(connected_graphs(max_order=14))
+def test_packing_search_agrees_with_subset_enumeration(g):
+    for i in (1, 2, 3):
+        want = _plain_packing_number(g, i)
+        assert _max_packing_search(distances(g).within(i), g.order) == want
+        assert max_packing(g, i) == want
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def test_packing_numbers_of_cycles():
+    # a cycle's vertices more than i apart: floor(n / (i + 1)) of them,
+    # and one where that floor is 0
+    for n in range(3, 81):
+        for i in (1, 2, 3):
+            assert max_packing(_cycle(n), i, max_order=80) == \
+                max(n // (i + 1), 1), (n, i)
+
+
+def test_packing_numbers_of_c48_take_under_a_second():
+    # bounding a branch by its candidate count alone takes seconds on C48;
+    # the clique cover cuts every branch that cannot beat floor(48 / (i + 1))
+    c48 = _cycle(48)
+    distances(c48).within(3)  # ball rows are not the search's cost
+    start = time.perf_counter()
+    for i in (1, 2, 3):
+        assert max_packing(c48, i, max_order=48) == 48 // (i + 1)
+    assert time.perf_counter() - start < 1.0
