@@ -54,6 +54,16 @@ class Graph:
                 if v not in self.adj[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
+    @classmethod
+    def _trusted(cls, order: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph from adjacency lists the caller guarantees valid, built
+        without __post_init__'s checks (for products of validated
+        factors)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects loops and duplicates."""

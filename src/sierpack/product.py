@@ -4,6 +4,8 @@ connecting functions.
 G (x)_f H has vertex set V(G) x V(H).  Each base vertex g carries a copy of
 H (Type-1 edges), and each base edge gg' contributes the single connecting
 edge (g, f(g'))-(g', f(g)) (Type-2).  Vertex (g, h) gets index g*n(H) + h.
+The Type-1 edges do not depend on f, so sierpinski_product patches each
+product into a template of them built once per factor pair.
 
 sierpinski_chi settles every map by repair or by chi_rho_exact, which
 decides k upward from the map's lower bound and stops at the first SAT, so
@@ -30,9 +32,10 @@ repair within best colors proves chi_rho <= best, so the map is settled
 with no lower bound and no decision.
 
 sierpinski_chi settles only the orbit representatives enumerate_maps
-yields with reduce_symmetry.  A map left out is settled with no product and no
-decision: its orbit's lexmin came earlier, the two products are
-isomorphic, and best only moves toward the optimum, so it cannot beat best.
+yields with reduce_symmetry.  A map left out is settled with no product and
+no decision: a yielded map that came earlier marked it as sigma o f o pi,
+the two products are isomorphic, and best only moves toward the optimum,
+so it cannot beat best.
 reduce_symmetry only chooses whether explored counts the maps settled or,
 by lex rank, every map up to the last one settled.
 
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -129,20 +133,45 @@ class ProductGraph:
 
 
 def sierpinski_product(g: Graph, h: Graph, f: VertexMap) -> ProductGraph:
-    """Build G (x)_f H with deterministic vertex indexing g*n(H) + h."""
+    """Build G (x)_f H with deterministic vertex indexing g*n(H) + h.
+
+    The n(G) fiber copies are the same for every f, so they come from a
+    template built once per factor pair (_fiber_copies).  Each call copies
+    its lists, appends the |E(G)| connecting edges and re-sorts only the
+    lists those touch.  The result is not re-validated: the factors are
+    valid Graphs, so the copies are, and a connecting edge joins two
+    distinct fibers, one per base edge, so it is neither a loop nor a
+    duplicate."""
     if f.base_order != g.order or f.fiber_order != h.order:
         raise FactorMismatchError(
             f"map is {f.base_order}->{f.fiber_order}, factors are "
             f"{g.order} and {h.order}")
+    copies, base_edges = _fiber_copies(g, h)
+    nh, image = h.order, f.image
+    adj = list(copies)
+    touched = set()
+    for g1, g2 in base_edges:
+        u, v = g1 * nh + image[g2], g2 * nh + image[g1]
+        adj[u] += (v,)
+        adj[v] += (u,)
+        touched.add(u)
+        touched.add(v)
+    for u in touched:
+        adj[u] = tuple(sorted(adj[u]))
+    return ProductGraph(Graph._trusted(len(adj), tuple(adj)), g, h, f)
+
+
+@functools.lru_cache(maxsize=1)
+def _fiber_copies(g: Graph, h: Graph) -> tuple[tuple[tuple[int, ...], ...],
+                                             tuple[tuple[int, int], ...]]:
+    """The adjacency of n(G) disjoint copies of h, copy g on vertices
+    g*n(H) .. g*n(H) + n(H) - 1, and the edges of g.  Only the last factor
+    pair's template is kept: a run reuses it for every map, and the next
+    pair replaces it."""
     nh = h.order
-    edges = []
-    for gv in range(g.order):
-        off = gv * nh
-        for (a, b) in h.edges():
-            edges.append((off + a, off + b))
-    for (g1, g2) in g.edges():
-        edges.append((g1 * nh + f(g2), g2 * nh + f(g1)))
-    return ProductGraph(Graph.from_edges(g.order * nh, edges), g, h, f)
+    copies = tuple(tuple(u + off for u in nbrs)
+                   for off in range(0, g.order * nh, nh) for nbrs in h.adj)
+    return copies, tuple(g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -190,41 +219,65 @@ def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND) -> Iterator[VertexMap]:
     """All maps V(G) -> V(H) in lexicographic order of their image tuples.
 
-    With reduce_symmetry, only the maps that _orbit_minimal finds minimal
-    under Aut G and Aut H are yielded: one lexicographically minimal
-    representative per orbit of the action f -> sigma o f o pi (sigma an
-    automorphism of H, pi of G) when neither group is cut, and at least one
-    otherwise.  Products of omitted maps are isomorphic to a yielded map's,
-    via (g, h) -> (pi(g), sigma(h)).  Each group is cut to its first
-    n(H)^n(G) elements in lexicographic order, which keeps the test sound
-    and a huge group (K12 has 12! automorphisms) no dearer than the maps.
-    The groups are built once the first map, the all-zero one, is consumed,
-    so a caller that stops there never pays for them.
+    With reduce_symmetry, a map is left out once a yielded map reaches it
+    by the action f -> sigma o f o pi (sigma an automorphism of H, pi of
+    G): the products are isomorphic, via (g, h) -> (pi(g), sigma(h)).  A
+    bytearray holds one mark per map, indexed by lex rank (at most
+    enum_bound bytes, 2 MB by default).  Each yielded map marks the ranks
+    of its images, and each later map costs one lookup: bytearray.find
+    jumps to the next unmarked rank.  When neither group is cut, the maps
+    yielded are exactly the lexicographically minimal map of each orbit.
+    Each group is cut to its first n(H)^n(G) elements in lexicographic
+    order, which keeps a huge group (K12 has 12! automorphisms) no dearer
+    than the maps; a cut group marks only part of each orbit, so an orbit
+    may yield more than one map.  Either way the first map in lex order
+    with a given value is never marked, as every map that marks it comes
+    earlier and has the same value.  The groups and the marks are built
+    once the first map, the all-zero one, is consumed, so a caller that
+    stops there never pays for them.
     """
-    total = h.order ** g.order
+    m, n = g.order, h.order
+    total = n ** m
     if total > enum_bound:
         raise EnumerationBudgetExceeded(
-            f"{h.order}^{g.order} = {total} maps exceeds bound {enum_bound}")
-    images = itertools.product(range(h.order), repeat=g.order)
-    yield VertexMap(g.order, h.order, next(images))
-    if reduce_symmetry:
-        auts = automorphisms(g, total), automorphisms(h, total)
-        images = (image for image in images if _orbit_minimal(image, *auts))
-    for image in images:
-        yield VertexMap(g.order, h.order, image)
+            f"{n}^{m} = {total} maps exceeds bound {enum_bound}")
+    if not reduce_symmetry:
+        for image in itertools.product(range(n), repeat=m):
+            yield VertexMap(m, n, image)
+        return
+    image = (0,) * m
+    yield VertexMap(m, n, image)
+    auts_g, auts_h = automorphisms(g, total), automorphisms(h, total)
+    # f -> f o pi as tuples; itemgetter of one index returns a bare value,
+    # but one base vertex has only the identity
+    movers = [operator.itemgetter(*pi) for pi in auts_g] if m > 1 else [tuple]
+    weights = [n ** (m - 1 - v) for v in range(m)]  # rank = image . weights
+    marks = bytearray(total)
+    rank = 0
+    while True:
+        _mark_images(marks, image, movers, auts_h, weights)
+        rank = marks.find(0, rank + 1)
+        if rank < 0:
+            return
+        image = tuple(rank // w % n for w in weights)
+        yield VertexMap(m, n, image)
 
 
-def _orbit_minimal(image: tuple[int, ...], auts_g: list[tuple[int, ...]],
-                   auts_h: list[tuple[int, ...]]) -> bool:
-    """Whether no sigma o f o pi (pi in auts_g, sigma in auts_h) has a
-    lexicographically smaller image than f; stops at the first that does.
-    Any subsets of the two groups give a sound, if weaker, test."""
-    for pi in auts_g:
-        moved = tuple(image[v] for v in pi)
+def _mark_images(marks: bytearray, image: tuple[int, ...], movers: list,
+                 auts_h: list[tuple[int, ...]], weights: list[int]) -> None:
+    """Mark the lex rank of sigma o f o pi for every sigma in auts_h and
+    every f o pi that movers give, f the map with this image.  With
+    moved = f o pi, that rank is the sum over fiber vertices x of sigma(x)
+    times the weights of the base vertices moved sends to x, so each
+    distinct moved costs one pass over the base, then n(H) products per
+    sigma."""
+    n = len(auts_h[0])
+    for moved in {move(image) for move in movers}:
+        by_value = [0] * n
+        for x, w in zip(moved, weights):
+            by_value[x] += w
         for sigma in auts_h:
-            if tuple(map(sigma.__getitem__, moved)) < image:
-                return False
-    return True
+            marks[sum(map(operator.mul, sigma, by_value))] = 1
 
 
 # ---------------------------------------------------------------------------

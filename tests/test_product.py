@@ -8,8 +8,8 @@ from sierpack.coloring import chi_rho_exact, chi_rho_lower_bound
 from sierpack.errors import (EnumerationBudgetExceeded, FactorMismatchError,
                              InputFormatError, SearchBudgetExceeded)
 from sierpack.families import complete_pair_value
-from sierpack.graphs import (Graph, complete, diameter, path, random_tree,
-                             star, tree_isomorphic)
+from sierpack.graphs import (Graph, complete, diameter, distances, path,
+                             random_tree, star, tree_isomorphic)
 from sierpack.product import (VertexMap, automorphisms, enumerate_maps,
                               sierpinski_chi, sierpinski_product)
 
@@ -467,6 +467,83 @@ def test_orbit_test_cuts_a_huge_group_to_the_map_count(monkeypatch):
             assert result.complete and result.value == 22
             assert result.explored <= 144
     assert max(found) == 144
+
+
+def test_template_products_match_the_edge_rule():
+    # products are patched from a per-pair template of fiber copies and not
+    # re-validated, so each must equal the graph the two edge rules give
+    # when built and validated from scratch
+    for g in FACTORS:
+        for h in FACTORS:
+            nh = h.order
+            fibers = [(gv * nh + a, gv * nh + b)
+                      for gv in range(g.order) for a, b in h.edges()]
+            for f in enumerate_maps(g, h):
+                x = sierpinski_product(g, h, f).graph
+                want = Graph.from_edges(
+                    g.order * nh,
+                    fibers + [(g1 * nh + f(g2), g2 * nh + f(g1))
+                              for g1, g2 in g.edges()])
+                assert x == want and hash(x) == hash(want), (g, h, f)
+                assert x.adj == want.adj
+                assert distances(x) is distances(want)
+
+
+def _orbit_minimal(image, auts_g, auts_h):
+    """The orbit filter the marks replaced, kept as an oracle: whether no
+    sigma o f o pi (pi in auts_g, sigma in auts_h) has a lexicographically
+    smaller image than f."""
+    for pi in auts_g:
+        moved = tuple(image[v] for v in pi)
+        for sigma in auts_h:
+            if tuple(map(sigma.__getitem__, moved)) < image:
+                return False
+    return True
+
+
+def _filtered_maps(g, h):
+    total = h.order ** g.order
+    auts = automorphisms(g, total), automorphisms(h, total)
+    images = list(iproduct(range(h.order), repeat=g.order))
+    return images[:1] + [f for f in images[1:] if _orbit_minimal(f, *auts)]
+
+
+def test_orbit_marks_match_the_lexmin_filter():
+    # no group here is cut, so marking each yielded map's orbit leaves
+    # exactly the orbit minima the filter passes, in the same order
+    pairs = [(g, h) for g in FACTORS for h in FACTORS]
+    pairs += [(star(5), star(3)), (complete(4), star(3)),
+              (star(3), complete(4))]
+    for g, h in pairs:
+        total = h.order ** g.order
+        assert len(automorphisms(g)) <= total
+        assert len(automorphisms(h)) <= total
+        got = [f.image for f in enumerate_maps(g, h, reduce_symmetry=True)]
+        assert got == _filtered_maps(g, h), (g, h)
+
+
+def test_orbit_marks_with_a_cut_group():
+    # K12's group is cut to its first 144 automorphisms: every map left out
+    # is still an image of an earlier yielded map under the cut lists, and
+    # the answer is the unreduced walk's
+    g, h = complete(2), complete(12)
+    auts_g, auts_h = automorphisms(g, 144), automorphisms(h, 144)
+    yielded = [f.image for f in enumerate_maps(g, h, reduce_symmetry=True)]
+    reached = set()
+    for f in iproduct(range(12), repeat=2):
+        if yielded and f == yielded[0]:
+            yielded.pop(0)
+            reached |= {tuple(sigma[f[v]] for v in pi)
+                        for pi in auts_g for sigma in auts_h}
+        else:
+            assert f in reached, f
+    assert not yielded
+    for mode in ("min", "max"):
+        red = sierpinski_chi(g, h, mode, reduce_symmetry=True)
+        full = sierpinski_chi(g, h, mode)
+        assert red.complete and red.explored <= 144
+        assert _summary(red)[:3] == _summary(full)[:3]
+        assert _summary(red)[:3] == _reference_chi(g, h, mode)[:3]
 
 
 @pytest.mark.parametrize("mode", ["min", "max"])
