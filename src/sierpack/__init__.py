@@ -11,10 +11,8 @@ from .errors import (ColoringCoverageError, ConstructionError,
                      InputFormatError, NotATreeError, SearchBudgetExceeded,
                      SierpackError)
 from .families import (FAMILIES, FamilyValue, SpineDecomposition,
-                       color_class_T, complete_by_K2_value,
-                       complete_pair_value, corona_table_value,
-                       path_path_min_map, path_star_min_map,
-                       spine_decompose, star_path_min_map, star_star_min_map)
+                       color_class_T, complete_pair_value, corona_table_value,
+                       path_path_min_map, spine_decompose)
 from .formats import (emit_dot, emit_graph_text, parse_graph6,
                       parse_graph_text, sniff_parse)
 from .graphs import (Balls, Graph, complete, corona, diameter, distances,

@@ -32,8 +32,10 @@ budget aborts the search with SearchBudgetExceeded, which is a distinct
 
 chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
-Both read the cached distance balls (graphs.distances); the certificate
-check, verify_packing_coloring, reads none and shares no state with them.
+The main solver, the repair and the class capacities read the cached
+distance balls (graphs.distances); chi_rho_naive and the certificate check,
+verify_packing_coloring, search with graphs.bfs_layers and share no state
+with them.
 packing_capacity, chi_rho_decision and chi_rho_exact check the order before
 any balls are built; the decision search also the recursion room
 (check_recursion_room), and chi_rho_exact the connectivity before any class
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
-                     GraphTooLargeError, SearchBudgetExceeded)
+                     SearchBudgetExceeded)
 from .graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, bfs_layers,
                      check_exact_order, check_recursion_room, distances,
                      max_packing)
@@ -164,8 +166,7 @@ def chi_rho_decision(g: Graph, k: int, *,
     outcome is unknown, not UNSAT.
     """
     n = g.order
-    if n > max_order:
-        raise GraphTooLargeError(f"order {n} exceeds solver bound {max_order}")
+    check_exact_order(n, max_order)
     check_recursion_room(n)
     balls = distances(g)
     if not balls.connected:
@@ -346,10 +347,17 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int
 def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
     """Exhaustive reference solver: vertices in index order, colors tried
     ascending, pruning only on a direct conflict with an assigned vertex.
-    Kept deliberately free of the main solver's ordering and bounds."""
+    Kept deliberately free of the main solver's ordering and bounds, and
+    of its cached distance balls: its own come from one BFS per vertex."""
     n = g.order
-    balls = distances(g)
-    if not balls.connected:
+    stamp = [-1] * n
+    near = []  # near[v][c]: the vertices within distance c of v, c <= n
+    for v in range(n):
+        ball = [1 << v]
+        for layer in bfs_layers(g, v, n, stamp):
+            ball.append(ball[-1] | sum(1 << w for w in layer))
+        near.append(ball + [ball[-1]] * (n + 1 - len(ball)))
+    if near[0][n] != (1 << n) - 1:
         raise DisconnectedGraphError("chi_rho_naive requires a connected graph")
     colors = [0] * n
     members = [0] * (n + 1)  # members[c]: assigned vertices colored c
@@ -358,7 +366,7 @@ def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
         if v == n:
             return True
         for c in range(1, k + 1):
-            if not members[c] & balls.within(c)[v]:
+            if not members[c] & near[v][c]:
                 colors[v] = c
                 members[c] |= 1 << v
                 if extend(v + 1, k):

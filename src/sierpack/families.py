@@ -51,6 +51,8 @@ PATH_STAR_SPINE_PATTERN = (
     3, 4, 7, 8, 3, 5, 4, 6, 3, 9, 7, 4, 3, 5, 6, 8,
 )
 
+Params = Mapping[str, int]
+
 
 @dataclass(frozen=True)
 class FamilyValue:
@@ -116,12 +118,14 @@ def complete_pair_value(m: int, n: int, mode: str) -> FamilyValue:
                        "exact", value=value, source=source)
 
 
-def complete_by_K2_value(m: int, m1: int, m2: int) -> FamilyValue:
-    """Exact value for K_m with fiber K_2 where m1 base vertices map to one
-    fiber vertex and m2 to the other: 2m - max(m1,m2) - 1 when both parts
-    have size >= 2, else m + 1."""
-    if m1 < m2:
-        raise ValueError("normalize to m1 >= m2 before calling")
+def _complete_k2_value(p: Params, mode: str) -> FamilyValue:
+    """Base K_m, fiber K_2.  Given m1 and m2, the exact value when m1 base
+    vertices map to one fiber vertex and m2 to the other: 2m - max(m1,m2) - 1
+    when both parts have size >= 2, else m + 1.  Without them, the value over
+    all maps."""
+    if "m1" not in p and "m2" not in p:
+        return _k2_fiber_value(p["m"], mode)
+    m, m1, m2 = p["m"], max(p["m1"], p["m2"]), min(p["m1"], p["m2"])
     if m1 + m2 != m or m2 < 0 or m < 3:
         raise ValueError(f"need m1 + m2 = m >= 3, got ({m}, {m1}, {m2})")
     value = 2 * m - m1 - 1 if m2 >= 2 else m + 1
@@ -327,17 +331,13 @@ def color_class_T(d: SpineDecomposition) -> PackingColoring:
 # ---------------------------------------------------------------------------
 # star by path
 
-def star_path_min_map(m: int, n: int) -> VertexMap:
-    """The constant map sending every star vertex to path endpoint 1."""
-    return VertexMap.constant(m + 1, n, 0)
-
-
 def _star_path_min(prod: ProductGraph) -> PackingColoring:
     """Star base K_{1,m} (center 0), path fiber P_n, constant endpoint map:
-    the product is a spider; its hub is colored 2, odd levels 1, levels
-    2 mod 4 get 3 and levels 0 mod 4 get 2, using exactly three colors."""
-    return _by_depth(prod.graph, prod.vertex_of(0, 0), (2, 1, 3, 1),
-                     "star-path-min")
+    the product is a spider whose hub is the center fiber's image of the
+    map; the hub is colored 2, odd levels 1, levels 2 mod 4 get 3 and
+    levels 0 mod 4 get 2, using exactly three colors."""
+    return _by_depth(prod.graph, prod.vertex_of(0, prod.vmap(0)),
+                     (2, 1, 3, 1), "star-path-min")
 
 
 def _star_path_max(prod: ProductGraph) -> PackingColoring:
@@ -446,12 +446,10 @@ def _fill_interior_fiber(colors: list[int], prod: ProductGraph, i: int,
 # ---------------------------------------------------------------------------
 # path by star
 
-def path_star_min_map(m: int, n: int) -> VertexMap:
+def _path_star_min_map(m: int, n: int) -> VertexMap:
     """The period-8 map onto star vertices {center, three leaves}: center at
     i = 1 mod 4, leaf 1 at i = 2, 4 mod 8, leaf 2 at i = 6, 0 mod 8 and
     leaf 3 at i = 3 mod 4 (1-indexed base positions)."""
-    if n < 3:
-        raise ValueError("the min map uses three distinct leaves, needs n >= 3")
     image = []
     for i in range(1, m + 1):
         if i % 4 == 1:
@@ -530,19 +528,13 @@ def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
 # ---------------------------------------------------------------------------
 # star by star
 
-def star_star_min_map(m: int, n: int) -> VertexMap:
-    """The constant map sending every base vertex to the last fiber leaf."""
-    return VertexMap.constant(m + 1, n + 1, n)
-
-
 def _star_star_min(prod: ProductGraph) -> PackingColoring:
     """Star base K_{1,m}, star fiber K_{1,n}, both centers at index 0: the
     minimum over all maps is exactly 3, witnessed by the constant-leaf map
-    with hub leaf 3, fiber centers 2, everything else 1."""
-    m, n = prod.base.order - 1, prod.fiber.order - 1
+    with the hub fiber's image leaf 3, fiber centers 2, everything else 1."""
     colors = [1] * prod.graph.order
-    colors[prod.vertex_of(0, n)] = 3
-    for i in range(m + 1):
+    colors[prod.vertex_of(0, prod.vmap(0))] = 3
+    for i in range(prod.base.order):
         colors[prod.vertex_of(i, 0)] = 2
     return _checked(prod.graph, colors, "star-star-min")
 
@@ -575,9 +567,6 @@ def _star_star_max(prod: ProductGraph) -> PackingColoring:
 
 # ---------------------------------------------------------------------------
 # the family registry
-
-Params = Mapping[str, int]
-
 
 @dataclass(frozen=True)
 class Family:
@@ -634,11 +623,7 @@ FAMILIES: dict[str, Family] = {
         mode: (lambda p, mode=mode: complete_pair_value(p["m"], p["n"], mode))
         for mode in ("min", "max")}),
     "complete-k2": Family(("m", "m1", "m2"), {  # m1 and m2 come together
-        mode: (lambda p, mode=mode:
-               complete_by_K2_value(p["m"], max(p["m1"], p["m2"]),
-                                    min(p["m1"], p["m2"]))
-               if "m1" in p or "m2" in p
-               else _k2_fiber_value(p["m"], mode))
+        mode: (lambda p, mode=mode: _complete_k2_value(p, mode))
         for mode in ("min", "max")}),
     "k2-complete": Family(("n",), {
         mode: (lambda p: _k2_base_value(p["n"])) for mode in ("min", "max")}),
@@ -662,7 +647,8 @@ FAMILIES: dict[str, Family] = {
          "max": lambda p: FamilyValue("star-path", _sizes(p, 3, 2),
                                       "upper_bound", value=7,
                                       source="star-path-max-bound")},
-        lambda m, n: (star(m), path(n)), star_path_min_map,
+        lambda m, n: (star(m), path(n)),
+        lambda m, n: VertexMap.constant(m + 1, n, 0),  # all to path end 1
         {"min": lambda x, cyclic: _star_path_min(x),
          "max": lambda x, cyclic: _star_path_max(x)}),
     "path-star": Family(
@@ -672,7 +658,7 @@ FAMILIES: dict[str, Family] = {
          "max": lambda p: FamilyValue("path-star", _sizes(p, 2, 3),
                                       "upper_bound", value=9,
                                       source="path-star-max-bound")},
-        lambda m, n: (path(m), star(n)), path_star_min_map,
+        lambda m, n: (path(m), star(n)), _path_star_min_map,
         {"min": lambda x, cyclic: _path_star_min(x),
          "max": _path_star_max}),
     "star-star": Family(
@@ -683,7 +669,8 @@ FAMILIES: dict[str, Family] = {
              "star-star", _sizes(p, 3, 3), "interval",
              lo=min(p["m"], p["n"]) + 2, hi=max(p["m"], p["n"]) + 2,
              source="star-star-max-interval")},
-        lambda m, n: (star(m), star(n)), star_star_min_map,
+        lambda m, n: (star(m), star(n)),
+        lambda m, n: VertexMap.constant(m + 1, n + 1, n),  # to the last leaf
         {"min": lambda x, cyclic: _star_star_min(x),
          "max": lambda x, cyclic: _star_star_max(x)}),
 }

@@ -158,9 +158,9 @@ def corona(g: Graph, p: int) -> Graph:
 # distances
 
 class Balls:
-    """Distance balls of one graph, for the solver, the repair, alpha_c and
-    the naive oracle: ``within(r)[v]`` is the bitmask of the vertices
-    within distance r of v (none in another component).  ``ball`` holds
+    """Distance balls of one graph, for the solver, the repair and alpha_c:
+    ``within(r)[v]`` is the bitmask of the vertices within distance r of v
+    (none in another component).  ``ball`` holds
     the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w] over
     the neighbours w of v, is grown only when asked for, so memory follows
     the largest radius used, not the diameter.  Rows are grown under

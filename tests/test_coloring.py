@@ -92,8 +92,8 @@ def test_coloring_type_invariants():
 
 def test_printed_figure_coloring_verifies():
     # the published 14-by-3 path-by-star figure, colors as printed
-    from sierpack.families import path_star_min_map
-    f = path_star_min_map(14, 3)
+    from sierpack.families import FAMILIES
+    f = FAMILIES["path-star"].min_map(14, 3)
     prod = sierpinski_product(path(14), star(3), f)
     colors = []
     for i in range(1, 15):
@@ -125,7 +125,7 @@ def test_order_is_checked_before_any_balls_are_built(monkeypatch):
     monkeypatch.setattr("sierpack.coloring.distances", no_balls)
     with pytest.raises(GraphTooLargeError, match="exact-search bound 40"):
         chi_rho_exact(path(100))
-    with pytest.raises(GraphTooLargeError, match="solver bound 40"):
+    with pytest.raises(GraphTooLargeError, match="exact-search bound 40"):
         chi_rho_decision(path(100), 3)
 
 
@@ -304,6 +304,19 @@ def test_naive_agrees_on_small_graphs():
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
         assert chi_rho_exact(g)[0] == chi_rho_naive(g)[0]
+
+
+def test_naive_reads_no_cached_balls(monkeypatch):
+    # the naive solver is the independent check on the main one, so it
+    # must not share the main solver's distance balls
+    def no_balls(g):
+        raise AssertionError("cached distance balls read")
+    monkeypatch.setattr("sierpack.coloring.distances", no_balls)
+    c5 = Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+    value, witness = chi_rho_naive(c5)
+    assert value == 4 and witness.k == 4
+    with pytest.raises(DisconnectedGraphError, match="chi_rho_naive requires"):
+        chi_rho_naive(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_diameter_three_lower_bound_law():

@@ -6,11 +6,9 @@ import pytest
 from sierpack.coloring import verify_packing_coloring
 from sierpack.errors import ConstructionOutOfRange
 from sierpack.families import (FAMILIES, SpineDecomposition,
-                               _hub_path_colors, color_class_T, complete_by_K2_value,
+                               _hub_path_colors, color_class_T,
                                complete_pair_value, corona_table_value,
-                               path_path_min_map, path_star_min_map,
-                               spine_decompose, star_path_min_map,
-                               star_star_min_map)
+                               path_path_min_map, spine_decompose)
 from sierpack.graphs import (Graph, complete, corona, is_tree, path, star,
                              tree_isomorphic)
 from sierpack.product import VertexMap, sierpinski_chi, sierpinski_product
@@ -28,11 +26,14 @@ def test_complete_pair_values():
 
 
 def test_complete_by_k2_values():
-    assert complete_by_K2_value(8, 5, 3).value == 10
-    assert complete_by_K2_value(4, 2, 2).value == 5
-    assert complete_by_K2_value(3, 3, 0).value == 4
-    with pytest.raises(ValueError):
-        complete_by_K2_value(8, 3, 5)
+    complete_k2 = FAMILIES["complete-k2"]
+    for mode in ("min", "max"):
+        for (m, m1, m2), value in (((8, 5, 3), 10), ((4, 2, 2), 5),
+                                   ((3, 3, 0), 4), ((8, 3, 5), 10)):
+            got = complete_k2.value({"m": m, "m1": m1, "m2": m2}, mode)
+            assert got.value == value, (m, m1, m2, mode)
+        with pytest.raises(ValueError, match="need m1 \\+ m2 = m >= 3"):
+            complete_k2.value({"m": 8, "m1": 5, "m2": 2}, mode)
 
 
 def test_k2_special_values():
@@ -156,9 +157,26 @@ def _construct(name, m, n, mode, f=None, cyclic=False):
     return FAMILIES[name].construct({"m": m, "n": n}, mode, f, cyclic)[1]
 
 
-@pytest.mark.parametrize("name, m_lo, n_lo", [
+# the families with a min construction, at their smallest allowed sizes
+MIN_ROWS = pytest.mark.parametrize("name, m_lo, n_lo", [
     ("path-path", 2, 2), ("star-path", 3, 2), ("path-star", 2, 3),
     ("star-star", 3, 3)])
+
+
+@MIN_ROWS
+def test_min_construction_colors_its_rows_min_map(name, m_lo, n_lo):
+    # the row's min_map is the one map its min construction colors, and
+    # the product is the row's factors joined by it
+    family = FAMILIES[name]
+    for m in range(m_lo, m_lo + 4):
+        for n in range(n_lo, n_lo + 4):
+            f = family.min_map(m, n)
+            prod = family.construct({"m": m, "n": n}, "min")[0]
+            assert prod.vmap == f, (m, n)
+            assert prod == sierpinski_product(*family.factors(m, n), f)
+
+
+@MIN_ROWS
 def test_min_construction_value_and_search_agree(name, m_lo, n_lo):
     # at the smallest allowed sizes and one step above, the min
     # construction's colors, the family's exact min and the exhaustive
@@ -178,8 +196,8 @@ def test_min_construction_value_and_search_agree(name, m_lo, n_lo):
 
 
 def test_star_path_min():
-    col = _construct("star-path", 3, 4, "min", star_path_min_map(3, 4))
-    prod = sierpinski_product(star(3), path(4), star_path_min_map(3, 4))
+    col = _construct("star-path", 3, 4, "min", VertexMap.constant(4, 4, 0))
+    prod = sierpinski_product(star(3), path(4), VertexMap.constant(4, 4, 0))
     assert set(col.colors) == {1, 2, 3}
     assert verify_packing_coloring(prod.graph, col).ok
     with pytest.raises(ValueError):
@@ -286,7 +304,8 @@ def test_path_star_min_reproduces_printed_figure():
     for base, leaf in ((3, 1), (7, 2), (11, 1)):
         expected[(base - 1) * 4 + leaf] = 3
     assert list(col.colors) == expected
-    prod = sierpinski_product(path(14), star(3), path_star_min_map(14, 3))
+    prod = sierpinski_product(path(14), star(3),
+                              FAMILIES["path-star"].min_map(14, 3))
     assert verify_packing_coloring(prod.graph, col).ok
 
 
@@ -324,7 +343,7 @@ def test_star_star_min():
     value = FAMILIES["star-star"].value({"m": 3, "n": 3}, "min")
     col = _construct("star-star", 3, 3, "min")
     assert value.value == 3 and set(col.colors) == {1, 2, 3}
-    prod = sierpinski_product(star(3), star(3), star_star_min_map(3, 3))
+    prod = sierpinski_product(star(3), star(3), VertexMap.constant(4, 4, 3))
     assert verify_packing_coloring(prod.graph, col).ok
 
 
