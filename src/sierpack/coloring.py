@@ -44,6 +44,7 @@ capacity.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -300,25 +301,34 @@ def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
     return None
 
 
-def repair_coloring(g: Graph, start: Sequence[int], cap: int
-                    ) -> Optional[PackingColoring]:
+def repair_coloring(g: Graph, start: Sequence[int], cap: int,
+                    evictions: int = 0) -> Optional[PackingColoring]:
     """A valid coloring of g with colors in 1..cap grown from start, a
-    color per vertex with 0 for none, or None at the first vertex that
-    needs a color above cap.
+    color per vertex with 0 for none, or None when a vertex needs a color
+    above cap and no eviction is left.
 
     Vertices are visited by descending degree, ties in index order.  A
     vertex keeps its start color c <= cap unless a vertex kept before it
     has color c within distance c; then the dropped vertices, in the same
     order, each take their least feasible color.  From an all-zero start
-    this is the degree-descending greedy.  Ball rows are grown only for the
-    colors in use."""
+    this is the degree-descending greedy.
+
+    A dropped vertex with no feasible color spends one of the evictions, a
+    min-conflicts step (Minton et al. 1992): it takes the color c <= cap
+    with the fewest colored vertices within distance c, the smallest such
+    c and never the color it was last evicted from, and those vertices
+    lose their colors and queue up behind the dropped ones, in index
+    order.  Each class stays a c-packing at every step, so a coloring
+    returned is valid.  With no evictions this is the plain repair.  Ball
+    rows are grown only for the colors in use."""
     within = distances(g).within
     members = [0] * (cap + 1)  # members[c]: the vertices colored c so far
     near: list = [None] * (cap + 1)  # within(c), fetched when c comes in use
     colors = [0] * g.order
+    evicted_from = [0] * g.order  # the color each vertex last lost
     # sorted is stable, so vertices of equal degree stay in index order
     order = sorted(range(g.order), key=lambda v: -len(g.adj[v]))
-    dropped = []
+    dropped = deque()
     for v in order:
         c = start[v]
         if 0 < c <= cap and not (members[c] and members[c] & near[c][v]):
@@ -328,13 +338,34 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int
             colors[v] = c
         else:
             dropped.append(v)
-    for v in dropped:
+    while dropped:
+        v = dropped.popleft()
         c = 1
         while c <= cap and members[c] and members[c] & near[c][v]:
             c += 1
         if c > cap:
-            return None
-        if not members[c]:
+            # every class 1..cap is in use, so every near[c] is fetched
+            if not evictions:
+                return None
+            evictions -= 1
+            c = hit = 0
+            fewest = g.order
+            for cc in range(1, cap + 1):
+                if cc != evicted_from[v]:
+                    clash = members[cc] & near[cc][v]
+                    if clash.bit_count() < fewest:
+                        c, hit, fewest = cc, clash, clash.bit_count()
+            if not c:
+                return None
+            members[c] ^= hit
+            while hit:
+                b = hit & -hit
+                hit ^= b
+                u = b.bit_length() - 1
+                colors[u] = 0
+                evicted_from[u] = c
+                dropped.append(u)
+        elif not members[c]:
             near[c] = within(c)
         members[c] |= 1 << v
         colors[v] = c

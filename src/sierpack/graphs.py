@@ -57,8 +57,8 @@ class Graph:
     @classmethod
     def _trusted(cls, order: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
         """A graph from adjacency lists the caller guarantees valid, built
-        without __post_init__'s checks (for products of validated
-        factors)."""
+        without __post_init__'s checks (for from_edges and for products of
+        validated factors)."""
         g = object.__new__(cls)
         object.__setattr__(g, "order", order)
         object.__setattr__(g, "adj", adj)
@@ -66,7 +66,11 @@ class Graph:
 
     @staticmethod
     def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; rejects loops and duplicates."""
+        """Build a graph from an edge list; rejects loops and duplicates.
+        The lists built here are sorted, symmetric and in range, so the
+        graph skips __post_init__'s re-validation."""
+        if order < 1:
+            raise ValueError("graph must have at least one vertex")
         nbrs: list[set[int]] = [set() for _ in range(order)]
         for u, v in edges:
             if not (0 <= u < order and 0 <= v < order):
@@ -77,7 +81,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(order, tuple(tuple(sorted(s)) for s in nbrs))
+        return Graph._trusted(order, tuple(tuple(sorted(s)) for s in nbrs))
 
     @property
     def size(self) -> int:

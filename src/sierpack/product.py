@@ -28,8 +28,13 @@ first; a coloring that settles a map moves to the front.  All products of
 one run share their vertex indexing, and maps that are close in
 lexicographic order differ in a few connecting edges, so a recent witness
 often needs only a few vertices recolored (coloring.repair_coloring).  A
-repair within best colors proves chi_rho <= best, so the map is settled
-with no lower bound and no decision.
+vertex the repair cannot fit within best colors may evict the vertices in
+its way, up to EVICTIONS_PER_VERTEX * n evictions per repair of a product
+of order n; without them most maps whose value equals best would still be
+decided.  A repair within best colors proves chi_rho <= best, so the map
+is settled with no lower bound and no decision.  Repair colorings are never
+witnesses: a map that beats best cannot be repaired within best colors, so
+it is always solved.
 
 sierpinski_chi settles only the orbit representatives enumerate_maps
 yields with reduce_symmetry.  A map left out is settled with no product and
@@ -60,6 +65,7 @@ from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
 POOL_SIZE = 8  # witness colorings a max run keeps to repair
+EVICTIONS_PER_VERTEX = 2  # a repair of x may evict this many times n(x)
 
 
 @dataclass(frozen=True)
@@ -306,13 +312,15 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
 def _repaired(x: Graph, pool: deque, best: int) -> bool:
     """Whether a coloring of x with at most best colors is found with no
     search, by repairing each coloring of pool, then the empty one (the
-    greedy).  A pool coloring that succeeds moves to the front."""
+    greedy), each with EVICTIONS_PER_VERTEX * n(x) evictions.  A pool
+    coloring that succeeds moves to the front."""
+    evictions = EVICTIONS_PER_VERTEX * x.order
     for i, colors in enumerate(pool):
-        if repair_coloring(x, colors, best) is not None:
+        if repair_coloring(x, colors, best, evictions) is not None:
             del pool[i]
             pool.appendleft(colors)
             return True
-    return repair_coloring(x, (0,) * x.order, best) is not None
+    return repair_coloring(x, (0,) * x.order, best, evictions) is not None
 
 
 def sierpinski_chi(g: Graph, h: Graph, mode: str, *,

@@ -264,10 +264,10 @@ def _plain_greedy(g):
 
 if given is not None:
     @st.composite
-    def _graphs_and_starts(draw):
-        """A connected graph of order <= 12, a start coloring (0 for
+    def _graphs_and_starts(draw, max_order=12):
+        """A connected graph of order <= max_order, a start coloring (0 for
         none, colors up to n + 1) and a cap in 1..n."""
-        n = draw(st.integers(1, 12))
+        n = draw(st.integers(1, max_order))
         edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
         for u in range(n):
             for v in range(u + 1, n):
@@ -291,6 +291,21 @@ if given is not None:
             assert repaired.colors == tuple(start)
         empty = repair_coloring(g, (0,) * g.order, g.order)
         assert empty.k == _plain_greedy(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_graphs_and_starts(16), evictions=st.integers(1, 40))
+    def test_eviction_repair_is_valid_and_extends_the_plain_one(case,
+                                                                evictions):
+        # an eviction only happens where the plain repair gives up, so
+        # wherever that one succeeds both return the same coloring
+        g, start, cap = case
+        repaired = repair_coloring(g, start, cap, evictions)
+        if repaired is not None:
+            assert verify_packing_coloring(g, repaired).ok
+            assert repaired.k <= cap
+        plain = repair_coloring(g, start, cap)
+        if plain is not None:
+            assert repaired == plain
 
 
 def test_naive_agrees_on_small_graphs():

@@ -26,6 +26,24 @@ def test_graph_construction_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
 
 
+def test_from_edges_matches_the_validating_constructor():
+    for order in (0, -1):
+        with pytest.raises(ValueError):
+            Graph.from_edges(order, [])
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        pairs = list(combinations(range(n), 2))
+        edges = [pair[::rng.choice((1, -1))]
+                 for pair in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        checked = Graph(n, tuple(
+            tuple(sorted({u for e in edges if v in e for u in e if u != v}))
+            for v in range(n)))
+        g = Graph.from_edges(n, edges)
+        assert g == checked and hash(g) == hash(checked)
+        assert g.adj == checked.adj
+
+
 def _dist(balls, u, v):
     # the least r whose ball around u holds v; INF when none does
     return next((r for r in range(len(balls.adj))

@@ -581,7 +581,8 @@ def test_screen_never_decides_above_chi_rho(monkeypatch, mode):
 @pytest.mark.parametrize("g, h, value, most", [
     (path(5), path(5), 5, 200),   # 1,085 decisions without the pool
     (star(4), star(4), 6, 10),    # 73 without the pool
-], ids=["P5xP5", "S4xS4"])
+    (path(5), path(5), 5, 40),    # 190 without evictions
+], ids=["P5xP5", "S4xS4", "P5xP5-evictions"])
 def test_max_screen_repairs_witnesses_before_deciding(monkeypatch, g, h,
                                                       value, most):
     # a repaired witness coloring with at most best colors settles a map
