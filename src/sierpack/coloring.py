@@ -304,8 +304,8 @@ def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
 def repair_coloring(g: Graph, start: Sequence[int], cap: int,
                     evictions: int = 0) -> Optional[PackingColoring]:
     """A valid coloring of g with colors in 1..cap grown from start, a
-    color per vertex with 0 for none, or None when a vertex needs a color
-    above cap and no eviction is left.
+    color per vertex with 0 for none, or None once a vertex fits no color
+    <= cap and cannot evict.
 
     Vertices are visited by descending degree, ties in index order.  A
     vertex keeps its start color c <= cap unless a vertex kept before it

@@ -29,7 +29,7 @@ one run share their vertex indexing, and maps that are close in
 lexicographic order differ in a few connecting edges, so a recent witness
 often needs only a few vertices recolored (coloring.repair_coloring).  A
 vertex the repair cannot fit within best colors may evict the vertices in
-its way, up to EVICTIONS_PER_VERTEX * n evictions per repair of a product
+its way, up to _EVICTIONS_PER_VERTEX * n evictions per repair of a product
 of order n; without them most maps whose value equals best would still be
 decided.  A repair within best colors proves chi_rho <= best, so the map
 is settled with no lower bound and no decision.  Repair colorings are never
@@ -65,7 +65,7 @@ from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
 POOL_SIZE = 8  # witness colorings a max run keeps to repair
-EVICTIONS_PER_VERTEX = 2  # a repair of x may evict this many times n(x)
+_EVICTIONS_PER_VERTEX = 2  # a repair of x may evict this many times n(x)
 
 
 @dataclass(frozen=True)
@@ -312,9 +312,9 @@ def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
 def _repaired(x: Graph, pool: deque, best: int) -> bool:
     """Whether a coloring of x with at most best colors is found with no
     search, by repairing each coloring of pool, then the empty one (the
-    greedy), each with EVICTIONS_PER_VERTEX * n(x) evictions.  A pool
+    greedy), each with _EVICTIONS_PER_VERTEX * n(x) evictions.  A pool
     coloring that succeeds moves to the front."""
-    evictions = EVICTIONS_PER_VERTEX * x.order
+    evictions = _EVICTIONS_PER_VERTEX * x.order
     for i, colors in enumerate(pool):
         if repair_coloring(x, colors, best, evictions) is not None:
             del pool[i]
