@@ -5,8 +5,12 @@ vertices sharing color l are at distance greater than l.  The exact solver
 is a deterministic branch-and-bound over distance-ball bitmasks:
 
 * the next vertex is chosen by DSatur (Brelaz 1979): the uncolored vertex
-  with the fewest colors left, ties broken by descending degree and then
-  by index; colors are tried in ascending order;
+  with the fewest colors left, ties broken by the most vertices within
+  distance 2, then by descending degree and then by index (every color
+  >= 2 conflicts within distance 2, so that ball is a vertex's degree in
+  the conflict graph that matters); colors are tried from the largest
+  down, so the large colors, whose classes are smallest and whose balls
+  largest, go to the most constrained vertices and color 1 fills in;
 * assigning color c to v bans c at every uncolored vertex within distance c;
   a partial assignment is abandoned as soon as some uncolored vertex has no
   feasible color;
@@ -175,10 +179,12 @@ def chi_rho_decision(g: Graph, k: int, *,
     if k < 1:
         return None
 
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     # near[c][v]: vertices within distance c of v; v itself is never in
     # uncolored when near[c][v] is read
     near = [balls.within(c) for c in range(k + 1)]
+    ball2 = balls.within(2)
+    order = sorted(range(n), key=lambda v: (-ball2[v].bit_count(),
+                                            -g.degree(v), v))
 
     caps = [0] * (k + 1)
     for c in range(1, k + 1):
@@ -206,7 +212,7 @@ def chi_rho_decision(g: Graph, k: int, *,
         if not uncolored:
             return True
         # DSatur: the uncolored vertex with the fewest colors left, ties
-        # broken by the static order
+        # broken by the static order (largest distance-2 ball first)
         v = -1
         fewest = k + 1
         for u in order:
@@ -219,8 +225,8 @@ def chi_rho_decision(g: Graph, k: int, *,
         uncolored ^= 1 << v
         need = uncolored.bit_count()
         avail = ~banned[v] & full
-        while avail:
-            bit = avail & -avail
+        while avail:  # largest color first
+            bit = 1 << (avail.bit_length() - 1)
             avail ^= bit
             c = bit.bit_length() - 1
             if used[c] >= caps[c]:

@@ -197,6 +197,33 @@ def test_corona_p12_decisions_fit_a_small_budget():
     assert verify_packing_coloring(g, witness).ok
 
 
+def test_tree_product_sat_fits_a_small_budget():
+    # order 40, chi_rho = 5: with ties broken by degree and colors tried
+    # ascending the SAT decision at k = 5 takes 405,209 nodes; with ties
+    # broken by the distance-2 ball and the largest color first, 40
+    base = Graph.from_edges(5, [(0, 3), (1, 2), (2, 3), (3, 4)])
+    fiber = Graph.from_edges(8, [(0, 3), (1, 2), (1, 5), (2, 3), (2, 4),
+                                 (2, 6), (3, 7)])
+    g = sierpinski_product(base, fiber, VertexMap(5, 8, (3, 0, 7, 2, 4))).graph
+    witness = chi_rho_decision(g, 5, node_budget=2_000)
+    assert witness is not None and witness.k <= 5
+    assert verify_packing_coloring(g, witness).ok
+
+
+@pytest.mark.parametrize("image, sat", [
+    ((3, 5, 0, 4, 2, 5, 1, 3), False),  # 621,788 nodes with the old order
+    ((0, 0, 0, 5, 4, 7, 4, 5), True),   # 879,920 nodes with the old order
+])
+def test_p8_p8_decisions_at_4_fit_a_small_budget(image, sat):
+    g = sierpinski_product(path(8), path(8), VertexMap(8, 8, image)).graph
+    witness = chi_rho_decision(g, 4, node_budget=2_000, max_order=64)
+    if not sat:
+        assert witness is None
+    else:
+        assert witness is not None and witness.k <= 4
+        assert verify_packing_coloring(g, witness).ok
+
+
 def test_soundness_and_minimality():
     rng = random.Random(11)
     for _ in range(25):

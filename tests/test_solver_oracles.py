@@ -1,9 +1,10 @@
 """The main solver and the tree capacities against independent oracles.
 
-chi_rho_exact is checked against chi_rho_naive, which keeps index order
-and no bounds.  The deepest-first greedy that max_packing runs on trees is
-checked against the clique-cover branch-and-bound it replaces there, and
-that search against a plain subset enumeration over BFS distances.
+chi_rho_exact, and chi_rho_decision at every k up to chi_rho + 1, are
+checked against chi_rho_naive, which keeps index order and no bounds.
+The deepest-first greedy that max_packing runs on trees is checked
+against the clique-cover branch-and-bound it replaces there, and that
+search against a plain subset enumeration over BFS distances.
 """
 
 import time
@@ -77,6 +78,19 @@ def test_exact_agrees_with_naive_and_is_minimal(g):
     assert witness.k == value
     assert verify_packing_coloring(g, witness).ok
     assert chi_rho_decision(g, value - 1) is None
+
+
+@PROPERTY
+@given(connected_graphs())
+def test_decision_agrees_with_naive_at_every_k(g):
+    value = chi_rho_naive(g)[0]
+    for k in range(1, value + 2):
+        witness = chi_rho_decision(g, k)
+        if k < value:
+            assert witness is None, k
+        else:
+            assert witness is not None and witness.k <= k, k
+            assert verify_packing_coloring(g, witness).ok, k
 
 
 def _plain_packing_number(g, i):
