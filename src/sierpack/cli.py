@@ -185,7 +185,7 @@ def _cmd_schirho(args) -> int:
                             node_budget=budget,
                             max_order=_positive(args.max_order,
                                                 "--max-order"))
-    payload = {"mode": result.mode, "value": result.value,
+    payload = {"mode": args.mode, "value": result.value,
                "explored_maps": result.explored, "complete": result.complete}
     if result.witness_map is not None:
         payload["witness_map"] = result.witness_map.to_text()

@@ -19,7 +19,10 @@ is a deterministic branch-and-bound over distance-ball bitmasks:
   deepest-first greedy pass on trees, otherwise a clique-cover
   branch-and-bound, the maximum-clique search of Tomita and Seki 2003 run
   on the complement), and a partial assignment is abandoned when the
-  remaining class capacities cannot cover the uncolored vertices;
+  remaining class capacities cannot cover the uncolored vertices, each
+  class counting only those outside its class mask, the union of the
+  c-balls of the vertices colored c (set once per assignment, restored on
+  undo);
 * a color c with alpha_c = 1 bans every vertex once used, so unused colors
   of that kind are interchangeable and only the smallest is tried.  This
   symmetry rule does not depend on the order vertices are colored in.
@@ -54,36 +57,32 @@ from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      SearchBudgetExceeded)
-from .graphs import (DEFAULT_EXACT_SEARCH_BOUND, Graph, bfs_layers,
+from .graphs import (DEFAULT_SOLVER_BOUND, Graph, bfs_layers,
                      check_exact_order, check_recursion_room, distances,
                      max_packing)
-
-DEFAULT_SOLVER_BOUND = DEFAULT_EXACT_SEARCH_BOUND
 
 
 @dataclass(frozen=True)
 class PackingColoring:
-    """A total assignment vertex -> color in 1..k, with k = max color used.
+    """A total assignment vertex -> color in 1..k, with k = max color used;
+    any sequence of colors is stored as a tuple.
 
     Validity is a separate, checked property (verify_packing_coloring); the
     type itself only guarantees coverage and positivity.
     """
 
     colors: tuple[int, ...]
-    k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
         if not self.colors:
             raise ValueError("coloring covers no vertices")
         if min(self.colors) < 1:
             raise ValueError("colors must be positive")
-        if self.k != max(self.colors):
-            raise ValueError("k must equal the maximum color present")
 
-    @staticmethod
-    def from_colors(colors) -> "PackingColoring":
-        colors = tuple(colors)
-        return PackingColoring(colors, max(colors))
+    @property
+    def k(self) -> int:
+        return max(self.colors)
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,11 @@ def chi_rho_decision(g: Graph, k: int, *,
     order = sorted(range(n), key=lambda v: (-ball2[v].bit_count(),
                                             -g.degree(v), v))
 
-    caps = [0] * (k + 1)
-    for c in range(1, k + 1):
-        caps[c] = min(packing_capacity(g, c, max_order), n)
+    caps = [0] + [packing_capacity(g, c, max_order) for c in range(1, k + 1)]
 
     full = (1 << (k + 1)) - 2  # bits 1..k
     banned = [0] * n
+    # class_banned[c]: the union of the c-balls of the vertices colored c
     class_banned = [0] * (k + 1)
     colors = [0] * n
     used = [0] * (k + 1)
@@ -240,6 +238,8 @@ def chi_rho_decision(g: Graph, k: int, *,
             colors[v] = c
             used[c] += 1
             unused_singletons &= ~bit
+            saved = class_banned[c]
+            class_banned[c] = saved | near[c][v]
             touched = []
             dead = False
             hit = near[c][v] & uncolored
@@ -249,14 +249,14 @@ def chi_rho_decision(g: Graph, k: int, *,
                 u = b.bit_length() - 1
                 if not banned[u] & bit:
                     banned[u] |= bit
-                    class_banned[c] |= b
                     touched.append(u)
                     if banned[u] == full:
                         dead = True
                         break
             if not dead and need:
                 # remaining class capacities must still cover the uncolored
-                # vertices, counting only vertices a class can still take
+                # vertices, counting only vertices a class can still take:
+                # those outside the balls of its members
                 room = 0
                 for cc in range(1, k + 1):
                     rc = caps[cc] - used[cc]
@@ -269,11 +269,9 @@ def chi_rho_decision(g: Graph, k: int, *,
                     dead = True
             if not dead and dfs():
                 return True
-            clear = 0
             for u in touched:
                 banned[u] ^= bit
-                clear |= 1 << u
-            class_banned[c] &= ~clear
+            class_banned[c] = saved
             used[c] -= 1
             if bit & singleton and used[c] == 0:
                 unused_singletons |= bit
@@ -282,7 +280,7 @@ def chi_rho_decision(g: Graph, k: int, *,
         return False
 
     if dfs():
-        return PackingColoring.from_colors(colors)
+        return PackingColoring(colors)
     return None
 
 
@@ -375,7 +373,7 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
             near[c] = within(c)
         members[c] |= 1 << v
         colors[v] = c
-    return PackingColoring.from_colors(colors)
+    return PackingColoring(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -415,4 +413,4 @@ def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
     k = 1
     while not extend(0, k):  # stops by k = n: n colors always suffice
         k += 1
-    return k, PackingColoring.from_colors(colors)
+    return k, PackingColoring(colors)

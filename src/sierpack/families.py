@@ -84,7 +84,7 @@ class FamilyValue:
 
 
 def _checked(graph: Graph, colors: list[int], what: str) -> PackingColoring:
-    col = PackingColoring.from_colors(colors)
+    col = PackingColoring(colors)
     res = verify_packing_coloring(graph, col)
     if not res.ok:
         raise ConstructionError(f"{what}: construction violates packing "
@@ -380,9 +380,6 @@ def _star_path_max(prod: ProductGraph) -> PackingColoring:
         else:
             variant = "B" if rank[w] == 0 else "C"
             rank[w] += 1
-            if rank[w] > 2:
-                raise ConstructionOutOfRange(
-                    "hub vertex with three fibers was not given a high color")
             _fill_interior_fiber(colors, prod, i, p, n, variant)
     return _checked(g, colors, "star-path-max-interior")
 
@@ -514,7 +511,7 @@ def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
         if v in on_q:
             continue
         colors[v] = 1 if g.degree(v) == 1 else 2
-    col = PackingColoring.from_colors(colors)
+    col = PackingColoring(colors)
     res = verify_packing_coloring(g, col)
     if not res.ok:
         if len(q) > len(PATH_STAR_SPINE_PATTERN):

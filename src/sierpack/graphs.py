@@ -22,9 +22,9 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import GraphTooLargeError, NotATreeError
 
-# Exact searches (independence number, i-packing numbers) reject
+# Exact searches (i-packing numbers, the packing coloring solver) reject
 # graphs above this order unless the caller raises the bound explicitly.
-DEFAULT_EXACT_SEARCH_BOUND = 40
+DEFAULT_SOLVER_BOUND = 40
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ def check_recursion_room(n: int) -> None:
 
 
 def max_packing(g: Graph, i: int,
-                max_order: int = DEFAULT_EXACT_SEARCH_BOUND) -> int:
+                max_order: int = DEFAULT_SOLVER_BOUND) -> int:
     """Exact size of a largest i-packing: a set of vertices with pairwise
     distance greater than i.  i=1 is the independence number, i=2 the
     2-packing number.

@@ -61,7 +61,7 @@ from typing import Iterator, Optional
 from .coloring import PackingColoring, chi_rho_exact, repair_coloring
 from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
                      InputFormatError, SearchBudgetExceeded)
-from .graphs import DEFAULT_EXACT_SEARCH_BOUND, Graph
+from .graphs import DEFAULT_SOLVER_BOUND, Graph
 
 DEFAULT_ENUM_BOUND = 2_000_000
 POOL_SIZE = 8  # witness colorings a max run keeps to repair
@@ -291,7 +291,6 @@ def _mark_images(marks: bytearray, image: tuple[int, ...], movers: list,
 
 @dataclass(frozen=True)
 class SierpinskiChiResult:
-    mode: str                      # "min" or "max"
     value: Optional[int]
     witness_map: Optional[VertexMap]
     witness_coloring: Optional[PackingColoring]
@@ -327,7 +326,7 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                    reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND,
                    node_budget: Optional[int] = None,
-                   max_order: int = DEFAULT_EXACT_SEARCH_BOUND
+                   max_order: int = DEFAULT_SOLVER_BOUND
                    ) -> SierpinskiChiResult:
     """Exact min (or max) of chi_rho(G (x)_f H) over all f, with a witness
     map and an optimal coloring for it.
@@ -381,5 +380,5 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                 explored = h.order ** g.order
     except (SearchBudgetExceeded, EnumerationBudgetExceeded):
         complete_run = False
-    return SierpinskiChiResult(mode, best, best_map, best_col,
-                               explored, complete_run)
+    return SierpinskiChiResult(best, best_map, best_col, explored,
+                               complete_run)

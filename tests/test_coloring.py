@@ -23,8 +23,8 @@ except ImportError:  # hypothesis comes with the test extra
 
 def test_verify_examples():
     p4 = path(4)
-    assert verify_packing_coloring(p4, PackingColoring.from_colors([1, 2, 1, 3])).ok
-    res = verify_packing_coloring(p4, PackingColoring.from_colors([1, 2, 1, 2]))
+    assert verify_packing_coloring(p4, PackingColoring([1, 2, 1, 3])).ok
+    res = verify_packing_coloring(p4, PackingColoring([1, 2, 1, 2]))
     assert not res.ok and res.violation == (1, 3, 2)
 
 
@@ -55,7 +55,7 @@ def test_verify_matches_the_bitmask_verifier():
         p = rng.choice((0.1, 0.2, 0.35, 0.6))
         g = Graph.from_edges(n, [(u, v) for u in range(n)
                                  for v in range(u + 1, n) if rng.random() < p])
-        c = PackingColoring.from_colors(
+        c = PackingColoring(
             rng.randint(1, rng.randint(1, 6)) for _ in range(n))
         res = verify_packing_coloring(g, c)
         assert (res.ok, res.violation) == _bitmask_verify(g, c), (g, c)
@@ -72,7 +72,7 @@ def test_verify_and_diameter_read_no_distance_balls(monkeypatch):
     monkeypatch.setattr("sierpack.graphs.distances", no_balls)
     monkeypatch.setattr("sierpack.coloring.distances", no_balls)
     assert verify_packing_coloring(g, witness).ok
-    bad = PackingColoring.from_colors([1] * g.order)
+    bad = PackingColoring([1] * g.order)
     assert verify_packing_coloring(g, bad).violation == (0, 1, 1)
     assert diameter(g) == 10
     assert diameter(Graph.from_edges(4, [(0, 1), (2, 3)])) == math.inf
@@ -80,14 +80,17 @@ def test_verify_and_diameter_read_no_distance_balls(monkeypatch):
 
 def test_verify_coverage_mismatch():
     with pytest.raises(ColoringCoverageError):
-        verify_packing_coloring(path(4), PackingColoring.from_colors([1, 2, 1]))
+        verify_packing_coloring(path(4), PackingColoring([1, 2, 1]))
 
 
 def test_coloring_type_invariants():
     with pytest.raises(ValueError):
-        PackingColoring((1, 0), 1)
+        PackingColoring((1, 0))
     with pytest.raises(ValueError):
-        PackingColoring((1, 2), 3)
+        PackingColoring([])
+    c = PackingColoring([1, 3, 2])
+    assert c == PackingColoring((1, 3, 2)) and c.colors == (1, 3, 2)
+    assert c.k == 3
 
 
 def test_printed_figure_coloring_verifies():
@@ -101,7 +104,7 @@ def test_printed_figure_coloring_verifies():
     for base, leaf in ((3, 1), (7, 2), (11, 1)):
         colors[(base - 1) * 4 + leaf] = 3
     assert verify_packing_coloring(prod.graph,
-                                   PackingColoring.from_colors(colors)).ok
+                                   PackingColoring(colors)).ok
 
 
 def test_decision_examples():
@@ -144,7 +147,7 @@ def test_connectivity_is_checked_before_any_class_capacity(monkeypatch):
 def test_exact_below_decides_only_smaller_k():
     assert chi_rho_exact(complete(5), below=5) is None
     assert chi_rho_exact(complete(5), below=6)[0] == 5
-    assert chi_rho_exact(path(1)) == (1, PackingColoring((1,), 1))
+    assert chi_rho_exact(path(1)) == (1, PackingColoring((1,)))
 
 
 def test_decision_rejects_orders_past_the_recursion_limit(monkeypatch):
@@ -222,6 +225,19 @@ def test_p8_p8_decisions_at_4_fit_a_small_budget(image, sat):
     else:
         assert witness is not None and witness.k <= 4
         assert verify_packing_coloring(g, witness).ok
+
+
+@pytest.mark.parametrize("image, budget", [
+    ((0, 1, 1, 1, 1, 1), 2_000),  # 447 nodes; 6,604 without the room count
+    ((0, 0, 0, 0, 0, 0), 5_000),  # 1,067 nodes; 16,428 without it
+])
+def test_s5_s5_unsat_at_6_needs_the_capacity_room_count(image, budget):
+    # the capacity-room prune counts, per class, only the uncolored
+    # vertices outside the balls of its members; counting every uncolored
+    # vertex makes it fire only when the capacities sum below n, which the
+    # root already rejects
+    g = sierpinski_product(star(5), star(5), VertexMap(6, 6, image)).graph
+    assert chi_rho_decision(g, 6, node_budget=budget) is None
 
 
 def test_soundness_and_minimality():
@@ -313,7 +329,7 @@ if given is not None:
             assert verify_packing_coloring(g, repaired).ok
             assert repaired.k <= cap
         if min(start) > 0 and max(start) <= cap and verify_packing_coloring(
-                g, PackingColoring.from_colors(start)).ok:
+                g, PackingColoring(start)).ok:
             # a valid start is kept whole
             assert repaired.colors == tuple(start)
         empty = repair_coloring(g, (0,) * g.order, g.order)
