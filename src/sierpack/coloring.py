@@ -14,20 +14,24 @@ is a deterministic branch-and-bound over distance-ball bitmasks:
 * assigning color c to v bans c at every uncolored vertex within distance c;
   a partial assignment is abandoned as soon as some uncolored vertex has no
   feasible color;
-* each color class of color c has at most alpha_c vertices (the exact
-  c-packing number, computed once per graph by graphs.max_packing: one
+* the class mask of color c is the union of the c-balls of the vertices
+  colored c (set once per assignment, restored on undo); an uncolored
+  vertex is banned from c exactly when it lies in that mask, so a class
+  is a c-packing by its bans and never outgrows alpha_c, the exact
+  c-packing number (computed once per graph by graphs.max_packing: one
   deepest-first greedy pass on trees, otherwise a clique-cover
   branch-and-bound, the maximum-clique search of Tomita and Seki 2003 run
-  on the complement), and a partial assignment is abandoned when the
-  remaining class capacities cannot cover the uncolored vertices, each
-  class counting only those outside its class mask, the union of the
-  c-balls of the vertices colored c (set once per assignment, restored on
-  undo);
+  on the complement);
+* a partial assignment is abandoned when the remaining class capacities
+  cannot cover the uncolored vertices, each class counting only those
+  outside its class mask;
 * a color c with alpha_c = 1 bans every vertex once used, so unused colors
   of that kind are interchangeable and only the smallest is tried.  This
   symmetry rule does not depend on the order vertices are colored in.
+  It and the room test (with its root form, the capacity sum) are the
+  only readers of the capacities.
 
-The capacity sum also seeds the ascending search for the exact value: the
+The capacity sum alone seeds the ascending search for the exact value: the
 smallest k with alpha_1 + ... + alpha_k >= n is a valid lower bound, and on
 diameter-3 graphs it reduces to 2 + (n - alpha - alpha_2).  chi_rho_exact
 is that search, the only one: its below argument stops it short, which is
@@ -130,30 +134,16 @@ def packing_capacity(g: Graph, c: int,
 
 def chi_rho_lower_bound(g: Graph,
                         max_order: int = DEFAULT_SOLVER_BOUND) -> int:
-    """A valid lower bound for the packing chromatic number.
-
-    Two bounds are combined: the smallest k with alpha_1 + ... + alpha_k
-    >= n (each alpha_c caps one color class; on diameter-3 graphs this is
-    2 + n - alpha - alpha_2), and the size of a greedily grown clique
-    (clique vertices are pairwise adjacent, so no two share any color)."""
+    """A valid lower bound for the packing chromatic number: the smallest k
+    with alpha_1 + ... + alpha_k >= n, since each alpha_c caps one color
+    class (on diameter-3 graphs this is 2 + n - alpha - alpha_2)."""
     n = g.order
     total = 0
     k = 0
     while total < n:
         k += 1
         total += packing_capacity(g, k, max_order)
-    return max(k, _greedy_clique(g))
-
-
-def _greedy_clique(g: Graph) -> int:
-    best = 1
-    for seed in sorted(range(g.order), key=g.degree, reverse=True)[:4]:
-        clique = [seed]
-        for v in sorted(g.adj[seed], key=g.degree, reverse=True):
-            if all(g.has_edge(v, u) for u in clique):
-                clique.append(v)
-        best = max(best, len(clique))
-    return best
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +217,6 @@ def chi_rho_decision(g: Graph, k: int, *,
             bit = 1 << (avail.bit_length() - 1)
             avail ^= bit
             c = bit.bit_length() - 1
-            if used[c] >= caps[c]:
-                continue
             if bit & unused_singletons and \
                     bit != unused_singletons & -unused_singletons:
                 continue
@@ -240,19 +228,20 @@ def chi_rho_decision(g: Graph, k: int, *,
             unused_singletons &= ~bit
             saved = class_banned[c]
             class_banned[c] = saved | near[c][v]
+            # an uncolored vertex is banned from c exactly when it lies in
+            # the saved class mask, so only the rest gain the ban
             touched = []
             dead = False
-            hit = near[c][v] & uncolored
+            hit = near[c][v] & uncolored & ~saved
             while hit:
                 b = hit & -hit
                 hit ^= b
                 u = b.bit_length() - 1
-                if not banned[u] & bit:
-                    banned[u] |= bit
-                    touched.append(u)
-                    if banned[u] == full:
-                        dead = True
-                        break
+                banned[u] |= bit
+                touched.append(u)
+                if banned[u] == full:
+                    dead = True
+                    break
             if not dead and need:
                 # remaining class capacities must still cover the uncolored
                 # vertices, counting only vertices a class can still take:
@@ -273,8 +262,7 @@ def chi_rho_decision(g: Graph, k: int, *,
                 banned[u] ^= bit
             class_banned[c] = saved
             used[c] -= 1
-            if bit & singleton and used[c] == 0:
-                unused_singletons |= bit
+            unused_singletons |= bit & singleton
             colors[v] = 0
         uncolored ^= 1 << v
         return False

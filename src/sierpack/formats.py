@@ -52,7 +52,9 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode a graph6 string (orders up to 62 suffice here)."""
+    """Decode a graph6 string (orders up to 62 suffice here).  The string
+    must hold exactly ceil(n(n-1)/12) data characters after the order, and
+    the padding bits of the last one must be zero."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -67,12 +69,11 @@ def parse_graph6(line: str) -> Graph:
     if n < 1:
         raise InputFormatError("graph6 graph must have at least one vertex")
     need = n * (n - 1) // 2
-    bits = []
-    for b in data[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((b >> shift) & 1)
-    if len(bits) < need:
-        raise InputFormatError("graph6 string too short for its order")
+    if len(data) - 1 != -(-need // 6):
+        raise InputFormatError(f"graph6 length does not fit order {n}")
+    bits = [(b >> shift) & 1 for b in data[1:] for shift in range(5, -1, -1)]
+    if any(bits[need:]):
+        raise InputFormatError("graph6 padding bits must be zero")
     edges = []
     idx = 0
     for v in range(1, n):

@@ -7,12 +7,14 @@ form, and the computed values asserted here are the repo's ground truth.
 
 Every criterion's name, status and details must also equal
 verify_paper_golden.json, the `verify-paper --scale full` report with the
-timings (`elapsed_s`, `order_144_seconds`) left out.
+timings (`elapsed_s`, `order_144_seconds`) left out.  Those timings come
+from a monotonic clock, which the last test checks.
 """
 
 import json
 from pathlib import Path
 
+from sierpack import checks
 from sierpack.checks import run_check
 
 GOLDEN = {r["criterion"]: r for r in json.loads(
@@ -147,3 +149,10 @@ def test_criterion_12_solver_oracle_equivalence():
     r = _report(run_check(12, "full"), PASS)
     assert r.details["trials"] == 100
     assert r.elapsed < 120
+
+
+def test_check_times_ignore_the_wall_clock(monkeypatch):
+    # a wall clock stepped backwards mid-check must not give a negative time
+    ticks = iter(range(10**6, 0, -1))
+    monkeypatch.setattr(checks.time, "time", lambda: float(next(ticks)))
+    assert run_check(12, "desk").elapsed >= 0

@@ -321,6 +321,12 @@ def test_graph6_input_accepted(capsys, tmp_path):
     assert code == 0 and payload["value"] == 2  # the 4-leaf star
 
 
+def test_graph6_with_extra_characters_exits_2(capsys, tmp_path):
+    gfile = tmp_path / "g6.txt"
+    gfile.write_text("Bw??????\n")  # K3 and six characters too many
+    assert main(["chirho", str(gfile)]) == 2
+
+
 def test_default_budget_from_environment(capsys, tmp_path, monkeypatch):
     from sierpack.graphs import corona
     gfile = tmp_path / "c62.txt"

@@ -6,8 +6,8 @@ import pytest
 
 from sierpack.coloring import (PackingColoring, chi_rho_decision,
                                chi_rho_exact, chi_rho_lower_bound,
-                               chi_rho_naive, repair_coloring,
-                               verify_packing_coloring)
+                               chi_rho_naive, packing_capacity,
+                               repair_coloring, verify_packing_coloring)
 from sierpack.errors import (ColoringCoverageError, DisconnectedGraphError,
                              GraphTooLargeError, SearchBudgetExceeded)
 from sierpack.graphs import (Graph, complete, corona, diameter, distances,
@@ -400,12 +400,31 @@ def test_lower_bound_seed_is_valid():
         assert chi_rho_lower_bound(g) <= chi_rho_exact(g)[0]
 
 
-def test_lower_bound_sees_cliques():
-    # K5 with a path of 8 hanging off one vertex: diameter is large but the
-    # clique still forces five pairwise distinct colors
+def test_clique_with_a_long_tail_is_solved_from_the_capacity_bound():
+    # K5 with a path of 8 hanging off one vertex: the diameter is large, so
+    # the capacity bound starts below the five colors the clique forces,
+    # and the decisions below 5 are refuted within the node budget
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(4 + i, 5 + i) for i in range(8)]
     g = Graph.from_edges(13, edges)
-    lb = chi_rho_lower_bound(g)
-    assert lb >= 5
-    assert lb <= chi_rho_exact(g)[0]
+    assert chi_rho_lower_bound(g) <= 5
+    value, witness = chi_rho_exact(g, node_budget=1_000)
+    assert value == 5 and verify_packing_coloring(g, witness).ok
+
+
+def test_lower_bound_is_the_capacity_sum():
+    # trees with a planted clique of 3 to 6 vertices: the clique often
+    # beats the capacity bound, and the lower bound is that bound alone
+    rng = random.Random(16)
+    for _ in range(30):
+        n = rng.randint(4, 14)
+        edges = set(random_tree(n, rng).edges())
+        clique = sorted(rng.sample(range(n), rng.randint(3, min(n, 6))))
+        edges.update((u, v) for i, u in enumerate(clique)
+                     for v in clique[i + 1:])
+        g = Graph.from_edges(n, sorted(edges))
+        k, total = 0, 0
+        while total < n:
+            k += 1
+            total += packing_capacity(g, k)
+        assert chi_rho_lower_bound(g) == k

@@ -51,6 +51,23 @@ def test_graph6_header_and_errors():
         parse_graph6("D")  # too short for order 5
 
 
+@pytest.mark.parametrize("text", [
+    "Bw??????",  # K3 followed by six extra characters
+    "C~~",       # K4 followed by one extra character
+    "B~",        # K3 with its three padding bits set
+    "D?",        # one data character short for order 5
+])
+def test_graph6_needs_exact_length_and_zero_padding(text):
+    with pytest.raises(InputFormatError):
+        parse_graph6(text)
+
+
+def test_graph6_exact_strings_still_parse():
+    assert sorted(parse_graph6("Bw").edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert parse_graph6("C~").size == 6
+    assert parse_graph6("@").order == 1  # order 1 has no data characters
+
+
 def test_sniff():
     assert sniff_parse("2 1\n0 1\n").order == 2
     assert sniff_parse("D?{").order == 5
