@@ -23,6 +23,13 @@ is the slow case):
 
 With no best yet, both modes are a plain chi_rho_exact(x).
 
+A min run stops once best reaches a floor that holds for every map
+(_min_floor), set after the first map is settled: the closed form
+mn - 2m + 2 for two complete factors, else the min over K_w (x) H for w
+the clique number of G, by a sub-run.  The witness is still the first map
+in enumeration order that attains the minimum, so only explored changes:
+it counts the maps settled up to the stop.
+
 The pool holds the colors of every witness a max run solves, most recent
 first; a coloring that settles a map moves to the front.  All products of
 one run share their vertex indexing, and maps that are close in
@@ -44,9 +51,11 @@ so it cannot beat best.
 reduce_symmetry only chooses whether explored counts the maps settled or,
 by lex rank, every map up to the last one settled.
 
-Every decision of a run is one chi_rho_exact makes on that map, with the
-same per-call node budget, so under a budget a run gets at least as far as
-solving every map in full would.
+Every decision of a run is one chi_rho_exact makes on one of its maps or
+on a map of the floor's sub-run, with the same per-call node budget.  A
+sub-run that runs out gives no floor, and the run goes on as it would
+without one, so under a budget a run gets at least as far as solving every
+map in full would.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ from typing import Iterator, Optional
 from .coloring import PackingColoring, chi_rho_exact, repair_coloring
 from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
                      InputFormatError, SearchBudgetExceeded)
-from .graphs import DEFAULT_SOLVER_BOUND, Graph
+from .graphs import (DEFAULT_SOLVER_BOUND, Graph, _max_packing_search,
+                     complete)
 
 DEFAULT_ENUM_BOUND = 2_000_000
 POOL_SIZE = 8  # witness colorings a max run keeps to repair
@@ -300,12 +310,37 @@ class SierpinskiChiResult:
 
 def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
     """The mn-2m+2 lower bound valid for every f when both factors are
-    complete with order >= 3; None when it does not apply."""
+    complete with order >= 3 (the closed form of their minimum); None when
+    it does not apply."""
     m, n = g.order, h.order
     if m >= 3 and n >= 3 and g.size == m * (m - 1) // 2 \
             and h.size == n * (n - 1) // 2:
         return m * n - 2 * m + 2
     return None
+
+
+def _min_floor(g: Graph, h: Graph, **limits) -> Optional[int]:
+    """A lower bound on chi_rho(G (x)_f H) valid for every f, or None.
+
+    Complete pairs take _complete_pair_floor.  Otherwise, with w = omega(G)
+    and 2 <= w < n(G), it is the min over K_w (x) H, a sub-run with the
+    same limits: K_w is a subgraph of G, so K_w (x)_{f|K_w} H is a subgraph
+    of G (x)_f H, and chi_rho is monotone under subgraphs.  K_w has no
+    proper clique floor, so the sub-run makes no sub-run of its own.  A
+    sub-run cut short by a limit gives no floor."""
+    floor = _complete_pair_floor(g, h)
+    if floor is not None:
+        return floor
+    n = g.order
+    full = (1 << n) - 1
+    # a largest set with no two non-adjacent vertices: a largest clique
+    omega = _max_packing_search(
+        tuple(full ^ sum(1 << u for u in nbrs) for nbrs in g.adj), n)
+    if not 2 <= omega < n:
+        return None
+    sub = sierpinski_chi(complete(omega), h, "min", reduce_symmetry=True,
+                         **limits)
+    return sub.value if sub.complete else None
 
 
 def _repaired(x: Graph, pool: deque, best: int) -> bool:
@@ -334,10 +369,13 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     The witness is the first map, in enumeration order, that attains the
     optimum.  The maps are those enumerate_maps yields with reduce_symmetry;
     each is settled by a repair or by chi_rho_exact bounded by the best so
-    far.  explored counts the settled maps: those yielded, or without
+    far, and a min run stops at the first map that reaches _min_floor.
+    explored counts the settled maps: those yielded, or without
     reduce_symmetry every map up to the last one settled.  Budget exhaustion
     (enumeration bound or solver node budget) yields a partial result with
-    complete=False and the explored count.
+    complete=False and the explored count; the floor's sub-run gets the
+    same limits, and one it does not finish only leaves the run without a
+    floor.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -345,7 +383,8 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
     best_map: Optional[VertexMap] = None
     best_col: Optional[PackingColoring] = None
     explored = 0
-    floor = _complete_pair_floor(g, h) if mode == "min" else None
+    floor: Optional[int] = None
+    floor_due = mode == "min"
     complete_run = True
     pool: deque = deque(maxlen=POOL_SIZE)  # colors tuples, most recent first
     try:
@@ -372,6 +411,13 @@ def sierpinski_chi(g: Graph, h: Graph, mode: str, *,
                 best, best_col = solved
                 best_map = f
             explored += 1
+            if floor_due:
+                # after the first map, so a run the enumeration bound or
+                # the budget stops there pays for no sub-run
+                floor_due = False
+                floor = _min_floor(g, h, enum_bound=enum_bound,
+                                   node_budget=node_budget,
+                                   max_order=max_order)
             if best == floor:
                 # no f can go below the floor, so the minimum is settled
                 break

@@ -1,5 +1,5 @@
 import random
-from itertools import groupby, permutations, product as iproduct
+from itertools import combinations, groupby, permutations, product as iproduct
 
 import pytest
 
@@ -284,15 +284,53 @@ FACTORS = [complete(2), complete(3), path(3), path(4), star(3), CYCLE4, PAW]
 BUDGETS = (3, 10, 30, 100, 300, 1000)
 
 
-def _reference_chi(g, h, mode, reduce_symmetry=False, node_budget=None):
-    """chi_rho_exact on every map, keeping the first strict improvement;
-    for two complete factors of order >= 3 the min stops at the floor
-    mn - 2m + 2.  Returns (value, witness image, witness colors, explored,
-    complete)."""
+def _closed_form_floor(g, h):
+    # mn - 2m + 2 for two complete factors of order >= 3, else None
     m, n = g.order, h.order
-    both_complete = m >= 3 and n >= 3 and g.size == m * (m - 1) // 2 \
-        and h.size == n * (n - 1) // 2
-    floor = m * n - 2 * m + 2 if mode == "min" and both_complete else None
+    if m >= 3 and n >= 3 and g.size == m * (m - 1) // 2 \
+            and h.size == n * (n - 1) // 2:
+        return m * n - 2 * m + 2
+    return None
+
+
+def _reference_floor(g, h, node_budget=None):
+    """The min-run floor, computed apart from the library: the closed form
+    for two complete factors; else, with w the largest clique of g by brute
+    force and 2 <= w < n(g), the min over K_w x H by a plain loop of
+    chi_rho_exact(x, below=best) over the orbit representatives, stopping
+    at that pair's closed form; None if the loop runs out of budget."""
+    floor = _closed_form_floor(g, h)
+    if floor is not None:
+        return floor
+    edges = set(g.edges())
+    omega = max(len(c) for r in range(1, g.order + 1)
+                for c in combinations(range(g.order), r)
+                if all(e in edges for e in combinations(c, 2)))
+    if not 2 <= omega < g.order:
+        return None
+    k = complete(omega)
+    stop = _closed_form_floor(k, h)
+    best = None
+    try:
+        for f in enumerate_maps(k, h, reduce_symmetry=True):
+            solved = chi_rho_exact(sierpinski_product(k, h, f).graph,
+                                   below=best, node_budget=node_budget)
+            if solved is not None:
+                best = solved[0]
+            if best == stop:
+                break
+    except SearchBudgetExceeded:
+        return None
+    return best
+
+
+def _reference_chi(g, h, mode, reduce_symmetry=False, node_budget=None,
+                   floor=True):
+    """chi_rho_exact on every map, keeping the first strict improvement;
+    with floor, the min stops at _reference_floor.  Returns (value,
+    witness image, witness colors, explored, complete)."""
+    stop = _reference_floor(g, h, node_budget) \
+        if mode == "min" and floor else None
     best = best_map = best_col = None
     explored = 0
     try:
@@ -303,7 +341,7 @@ def _reference_chi(g, h, mode, reduce_symmetry=False, node_budget=None):
             if best is None or (value < best if mode == "min"
                                 else value > best):
                 best, best_map, best_col = value, f.image, col.colors
-            if best == floor:
+            if best == stop:
                 break
     except SearchBudgetExceeded:
         return best, best_map, best_col, explored, False
@@ -354,12 +392,13 @@ def test_budget_never_loses_ground(mode, reduce_symmetry):
 def test_unreduced_run_builds_only_orbit_representatives(monkeypatch, mode):
     # a map whose orbit's lexmin came earlier is settled without a
     # product, so an unreduced run builds the products the reduced run
-    # builds, in the same order
+    # builds, in the same order; a min floor's sub-run over K_w x H builds
+    # products of its own pair, left out here
     built = []
     build = product.sierpinski_product
 
     def recording(g, h, f):
-        built.append(f.image)
+        built.append((g, h, f.image))
         return build(g, h, f)
 
     monkeypatch.setattr(product, "sierpinski_product", recording)
@@ -369,11 +408,12 @@ def test_unreduced_run_builds_only_orbit_representatives(monkeypatch, mode):
                                                     reduce_symmetry=True)}
             built.clear()
             full = sierpinski_chi(g, h, mode)
-            full_built = list(built)
+            full_built = [f for x, y, f in built if (x, y) == (g, h)]
             built.clear()
             red = sierpinski_chi(g, h, mode, reduce_symmetry=True)
+            red_built = [f for x, y, f in built if (x, y) == (g, h)]
             assert set(full_built) <= reps, (g, h)
-            assert full_built == built, (g, h)
+            assert full_built == red_built, (g, h)
             assert _summary(full)[:3] == _summary(red)[:3], (g, h)
 
 
@@ -390,26 +430,76 @@ def test_unreduced_run_reports_its_lex_prefix(monkeypatch):
     build = product.sierpinski_product
 
     def recording(g, h, f):
-        built.append(f.image)
+        built.append((g, h, f.image))
         return build(g, h, f)
 
     monkeypatch.setattr(product, "sierpinski_product", recording)
     partial = 0
     for g in FACTORS[1:]:
         for h in FACTORS[1:]:
-            floor = product._complete_pair_floor(g, h)
             for mode in ("min", "max"):
                 for budget in BUDGETS:
                     built.clear()
                     got = sierpinski_chi(g, h, mode, node_budget=budget)
-                    rank = _lex_rank(built[-1], h.order)
+                    last = [f for x, y, f in built if (x, y) == (g, h)][-1]
+                    rank = _lex_rank(last, h.order)
                     if not got.complete:
                         partial += 1
                         assert got.explored == rank, (g, h, mode, budget)
                     elif got.explored != h.order ** g.order:
-                        assert mode == "min" and got.value == floor
+                        assert mode == "min"
+                        assert got.value == _reference_floor(g, h, budget)
                         assert got.explored == rank + 1, (g, h, budget)
     assert partial > 0  # the budgets cut some runs short
+
+
+# ---------------------------------------------------------------------------
+# min-run floors: the closed form or the min over K_w x H
+
+DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def test_min_floor_bounds_the_walk_that_never_stops():
+    # the floor is at most the minimum over every map, and stopping at it
+    # keeps the value, witness map and witness coloring of the full walk
+    factors = FACTORS + [star(4), path(5), DIAMOND]
+    for g in factors:
+        for h in factors:
+            walk = _reference_chi(g, h, "min", reduce_symmetry=True,
+                                  floor=False)
+            floor = product._min_floor(g, h)
+            assert floor is None or floor <= walk[0], (g, h)
+            for reduce_symmetry in (False, True):
+                got = sierpinski_chi(g, h, "min",
+                                     reduce_symmetry=reduce_symmetry)
+                assert got.complete, (g, h)
+                assert _summary(got)[:3] == walk[:3], (g, h)
+
+
+@pytest.mark.parametrize("g, h, explored", [
+    (path(6), path(6), 211),   # 11,772 representatives without a floor
+    (star(5), star(5), 12),    # 63 without a floor
+], ids=["P6xP6", "S5xS5"])
+def test_min_run_stops_at_the_clique_floor(g, h, explored):
+    # the min over K2 x H is 3, which these runs reach early
+    assert product._min_floor(g, h) == 3
+    result = sierpinski_chi(g, h, "min", reduce_symmetry=True)
+    assert result.complete and result.value == 3
+    assert result.explored == explored
+
+
+def test_floor_sub_run_out_of_budget_gives_no_floor():
+    # with 20 nodes per decision the K2 x K4 sub-run runs out where the
+    # P3 x K4 run does not: the run then settles all four representatives,
+    # as the walk with no floor does
+    g, h = path(3), complete(4)
+    assert product._min_floor(g, h) == 6
+    assert product._min_floor(g, h, node_budget=20) is None
+    assert sierpinski_chi(g, h, "min", reduce_symmetry=True).explored == 2
+    got = sierpinski_chi(g, h, "min", reduce_symmetry=True, node_budget=20)
+    assert _summary(got) == _reference_chi(g, h, "min", reduce_symmetry=True,
+                                           node_budget=20, floor=False)
+    assert got.explored == 4
 
 
 def test_reduced_maps_are_the_orbit_minima():
