@@ -31,15 +31,21 @@ is a deterministic branch-and-bound over distance-ball bitmasks:
   It and the room test (with its root form, the capacity sum) are the
   only readers of the capacities.
 
-The capacity sum alone seeds the ascending search for the exact value: the
-smallest k with alpha_1 + ... + alpha_k >= n is a valid lower bound, and on
-diameter-3 graphs it reduces to 2 + (n - alpha - alpha_2).  chi_rho_exact
-is that search, the only one: its below argument stops it short, which is
-how product.sierpinski_chi bounds each map by the best value so far.
+On a graph of diameter at most 3 every color >= 3 is a single vertex, so
+chi_rho_exact first finds beta_2, the most vertices an independent set and
+a disjoint 2-packing hold together, by one run of the clique-cover search
+(graphs._max_packing_search) on the 2n pairs (vertex, color 1 or 2); then
+chi_rho = 2 + n - beta_2 whenever beta_2 < n.  (The capacity sum reads
+2 + n - alpha - alpha_2 there, and beta_2 <= alpha + alpha_2.)  Every other
+graph, and one with beta_2 = n, goes to the ascending search for the exact
+value, seeded by the capacity sum alone: the smallest k with
+alpha_1 + ... + alpha_k >= n is a valid lower bound.  The below argument of
+chi_rho_exact stops either route short, which is how
+product.sierpinski_chi bounds each map by the best value so far.
 
 UNSAT answers are proofs of exhaustion, never timeouts: an optional node
-budget aborts the search with SearchBudgetExceeded, which is a distinct
-"unknown" outcome.
+budget aborts a decision or the beta_2 search with SearchBudgetExceeded,
+which is a distinct "unknown" outcome.
 
 chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
@@ -49,8 +55,8 @@ verify_packing_coloring, search with graphs.bfs_layers and share no state
 with them.
 packing_capacity, chi_rho_decision and chi_rho_exact check the order before
 any balls are built; the decision search also the recursion room
-(check_recursion_room), and chi_rho_exact the connectivity before any class
-capacity.
+(check_recursion_room), and chi_rho_exact the connectivity before any
+search.
 """
 
 from __future__ import annotations
@@ -61,9 +67,9 @@ from typing import Optional, Sequence
 
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      SearchBudgetExceeded)
-from .graphs import (DEFAULT_SOLVER_BOUND, Graph, bfs_layers,
-                     check_exact_order, check_recursion_room, distances,
-                     max_packing)
+from .graphs import (DEFAULT_SOLVER_BOUND, Graph, _max_packing_search,
+                     bfs_layers, check_exact_order, check_recursion_room,
+                     distances, max_packing)
 
 
 @dataclass(frozen=True)
@@ -276,13 +282,25 @@ def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
                   node_budget: Optional[int] = None,
                   max_order: int = DEFAULT_SOLVER_BOUND
                   ) -> Optional[tuple[int, PackingColoring]]:
-    """The packing chromatic number with a verifying witness, by ascending
-    decision calls starting from the capacity lower bound.  With below,
+    """The packing chromatic number with a verifying witness.  With below,
     only the k < below are decided, and None means every one is UNSAT.
-    The order and connectivity are checked before any class capacity."""
-    check_exact_order(g.order, max_order)
-    if not distances(g).connected:
+    The order and connectivity are checked before any search.
+
+    A graph of diameter at most 3 goes first to one joint packing search
+    (_joint_packing_solution), which settles it unless a 1-packing and a
+    disjoint 2-packing cover every vertex.  Every other graph is decided by
+    ascending decision calls from the capacity lower bound.  node_budget
+    bounds the joint search and each decision call alike."""
+    n = g.order
+    check_exact_order(n, max_order)
+    balls = distances(g)
+    if not balls.connected:
         raise DisconnectedGraphError("chi_rho_exact requires a connected graph")
+    full = (1 << n) - 1
+    if all(row == full for row in balls.within(3)):
+        solved = _joint_packing_solution(balls, n, node_budget)
+        if solved is not None:
+            return solved if below is None or solved[0] < below else None
     k = chi_rho_lower_bound(g, max_order)
     while below is None or k < below:
         witness = chi_rho_decision(g, k, node_budget=node_budget,
@@ -291,6 +309,42 @@ def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
             return k, witness
         k += 1
     return None
+
+
+def _joint_packing_solution(balls, n: int, node_budget: Optional[int]
+                            ) -> Optional[tuple[int, PackingColoring]]:
+    """chi_rho and an optimal coloring of a connected graph of diameter at
+    most 3, given its distance balls and its order n, from one search for
+    beta_2; None when beta_2 = n.
+
+    beta_2 is the largest |S_1| + |S_2| over disjoint S_1 and S_2 with S_c
+    a c-packing.  With diameter at most 3 every class of a color >= 3 is a
+    single vertex, so k >= 2 colors cover at most beta_2 + k - 2 vertices,
+    and one color covers only an independent set.  So chi_rho =
+    2 + n - beta_2 once beta_2 < n (Goddard et al. 2008 give n + 1 - alpha
+    on diameter 2).  A largest pair is a largest set with no two in
+    conflict (graphs._max_packing_search) among the pairs (v, c), c = 1, 2,
+    at index (c - 1) n + v: (v, 1) and (v, 2) conflict, and so do (u, c)
+    and (v, c) when d(u, v) <= c.  The coloring gives S_1 color 1, S_2
+    color 2 and every other vertex a color of its own, 3, 4, ... in index
+    order."""
+    near1, near2 = balls.within(1), balls.within(2)
+    conflict = tuple(near1[v] | 1 << (n + v) for v in range(n)) + \
+        tuple(near2[v] << n | 1 << v for v in range(n))
+    beta2, chosen, _ = _max_packing_search(conflict, 2 * n, node_budget)
+    if beta2 == n:
+        return None
+    colors = []
+    single = 2  # the last color given to a vertex of its own
+    for v in range(n):
+        if chosen >> v & 1:
+            colors.append(1)
+        elif chosen >> (n + v) & 1:
+            colors.append(2)
+        else:
+            single += 1
+            colors.append(single)
+    return 2 + n - beta2, PackingColoring(colors)
 
 
 def repair_coloring(g: Graph, start: Sequence[int], cap: int,

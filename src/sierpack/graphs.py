@@ -6,9 +6,9 @@ functions of their inputs.  The per-graph distance balls behind
 ``distances`` serve the solver: they are cached and shared between
 structurally equal graphs, so each ``Balls`` grows its rows under its own
 lock.  All other distances come from ``bfs_layers``, in O(n) memory.
-max_packing checks its order (check_exact_order) before any balls are built
-and the recursion room (check_recursion_room) before its clique-cover
-search.
+max_packing checks its order (check_exact_order) before any balls are built,
+and its clique-cover search the recursion room (check_recursion_room)
+before its first branch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import GraphTooLargeError, NotATreeError
+from .errors import GraphTooLargeError, NotATreeError, SearchBudgetExceeded
 
 # Exact searches (i-packing numbers, the packing coloring solver) reject
 # graphs above this order unless the caller raises the bound explicitly.
@@ -261,10 +261,10 @@ def check_exact_order(n: int, max_order: int) -> None:
             f"order {n} exceeds exact-search bound {max_order}")
 
 
-def check_recursion_room(n: int) -> None:
+def check_recursion_room(n: int, what: str = "order") -> None:
     limit = sys.getrecursionlimit() - 100  # frames left to the callers
     if n > limit:
-        raise GraphTooLargeError(f"order {n} exceeds recursion bound {limit}")
+        raise GraphTooLargeError(f"{what} {n} exceeds recursion bound {limit}")
 
 
 def max_packing(g: Graph, i: int,
@@ -288,8 +288,8 @@ def max_packing(g: Graph, i: int,
 
     Every other graph goes to the clique-cover branch-and-bound
     (_max_packing_search) on the conflict graph, which joins the vertices
-    within distance i.  It counts no decision nodes, so the solver's node
-    budget does not bound it; only max_order does.  Its worst case is still
+    within distance i.  Its branches are not charged to the solver's node
+    budget, so only max_order bounds it.  Its worst case is still
     exponential, but a cycle of order 80 takes about a millisecond for
     i = 1..3 (CPython 3.11, 2-vCPU machine).
     """
@@ -298,8 +298,7 @@ def max_packing(g: Graph, i: int,
     balls = distances(g)
     conflict = balls.within(i)
     if g.size != n - 1 or not balls.connected:
-        check_recursion_room(n)
-        return _max_packing_search(conflict, n)
+        return _max_packing_search(conflict, n)[0]
     kept = 0
     for v in reversed(reachable(g)):  # BFS order reversed: deepest first
         if not conflict[v] & kept:
@@ -307,21 +306,32 @@ def max_packing(g: Graph, i: int,
     return kept.bit_count()
 
 
-def _max_packing_search(conflict: tuple[int, ...], n: int) -> int:
-    """Largest vertex set with no two in conflict (``conflict[v]`` is the
-    bitmask of v's conflicts, v itself included): a maximum-clique branch
-    and bound on the complement (Tomita and Seki 2003, MCQ).  Each node
-    covers its candidates greedily by cliques of the conflict graph, taking
-    the lowest candidate and then the lowest that conflicts with every
-    vertex so far; a set with no two in conflict holds at most one vertex
-    of each clique.  It branches on the vertices of the last clique first
-    and cuts once size plus the clique count left cannot beat the best."""
-    best = 0
+def _max_packing_search(conflict: tuple[int, ...], n: int,
+                        node_budget: Optional[int] = None
+                        ) -> tuple[int, int, int]:
+    """A largest vertex set with no two in conflict (``conflict[v]`` is the
+    bitmask of v's conflicts, v itself included): its size, the set as a
+    bitmask and the number of branches, the nodes of the search tree with
+    the root.  It is a maximum-clique branch and bound on the complement
+    (Tomita and Seki 2003, MCQ).  Each node covers its candidates greedily
+    by cliques of the conflict graph, taking the lowest candidate and then
+    the lowest that conflicts with every vertex so far; a set with no two
+    in conflict holds at most one vertex of each clique.  It branches on
+    the vertices of the last clique first and cuts once size plus the
+    clique count left cannot beat the best.
 
-    def grow(cand: int, size: int):
-        nonlocal best
+    The search recurses once per vertex in the set, so the root cover's
+    clique count is checked against the recursion room
+    (check_recursion_room) first.  Each branch counts against node_budget,
+    and SearchBudgetExceeded is raised once it is passed.  max_packing and
+    product._min_floor read the size; coloring.chi_rho_exact reads the set
+    and charges the branches to its node budget."""
+    best = best_set = branches = 0
+
+    def grow(cand: int, chosen: int, size: int):
+        nonlocal best, best_set, branches
         if size > best:
-            best = size
+            best, best_set = size, chosen
         cover = []  # (vertex bit, number of cliques up to its own)
         rest = cand
         cliques = 0
@@ -333,14 +343,20 @@ def _max_packing_search(conflict: tuple[int, ...], n: int) -> int:
                 rest ^= bit
                 joinable &= conflict[bit.bit_length() - 1] & rest
                 cover.append((bit, cliques))
+        if not size:
+            check_recursion_room(cliques, "packing depth")
+        branches += 1
+        if node_budget is not None and branches > node_budget:
+            raise SearchBudgetExceeded(branches)
         for bit, cliques in reversed(cover):
             if size + cliques <= best:
                 return
             cand ^= bit
-            grow(cand & ~conflict[bit.bit_length() - 1], size + 1)
+            grow(cand & ~conflict[bit.bit_length() - 1], chosen | bit,
+                 size + 1)
 
-    grow((1 << n) - 1, 0)
-    return best
+    grow((1 << n) - 1, 0, 0)
+    return best, best_set, branches
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def _min_floor(g: Graph, h: Graph, **limits) -> Optional[int]:
     full = (1 << n) - 1
     # a largest set with no two non-adjacent vertices: a largest clique
     omega = _max_packing_search(
-        tuple(full ^ sum(1 << u for u in nbrs) for nbrs in g.adj), n)
+        tuple(full ^ sum(1 << u for u in nbrs) for nbrs in g.adj), n)[0]
     if not 2 <= omega < n:
         return None
     sub = sierpinski_chi(complete(omega), h, "min", reduce_symmetry=True,

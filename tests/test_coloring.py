@@ -174,6 +174,17 @@ def test_budget_is_distinct_from_unsat():
         chi_rho_decision(corona(path(6), 2), 4, node_budget=5)
 
 
+def test_joint_packing_search_counts_against_the_node_budget():
+    # K3 (x) K3 has diameter 3: its joint packing search takes 7 branches,
+    # the root included, and no decision is made
+    g = sierpinski_product(complete(3), complete(3),
+                           VertexMap.constant(3, 3, 0)).graph
+    with pytest.raises(SearchBudgetExceeded) as info:
+        chi_rho_exact(g, node_budget=6)
+    assert info.value.nodes == 7
+    assert chi_rho_exact(g, node_budget=7)[0] == 5
+
+
 def test_exact_examples():
     assert chi_rho_exact(complete(5))[0] == 5
     prod = sierpinski_product(complete(3), complete(4),
@@ -225,6 +236,28 @@ def test_p8_p8_decisions_at_4_fit_a_small_budget(image, sat):
     else:
         assert witness is not None and witness.k <= 4
         assert verify_packing_coloring(g, witness).ok
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_complete_identity_products_past_the_order_cap(n):
+    # K_n (x)_id K_n has order n^2, past the default cap for n = 7 and 8,
+    # and diameter 3, so one joint packing search settles it, with the
+    # mn - 2m + 2 colors of the complete-pair floor, and with no more than
+    # 100 frames of stack past the caller's
+    g = sierpinski_product(complete(n), complete(n),
+                           VertexMap(n, n, tuple(range(n)))).graph
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        value, witness = chi_rho_exact(g, node_budget=1_000, max_order=64)
+    finally:
+        sys.setrecursionlimit(old)
+    assert value == n * n - 2 * n + 2
+    assert witness.k == value
+    assert verify_packing_coloring(g, witness).ok
 
 
 @pytest.mark.parametrize("image, budget", [

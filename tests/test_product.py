@@ -489,17 +489,20 @@ def test_min_run_stops_at_the_clique_floor(g, h, explored):
 
 
 def test_floor_sub_run_out_of_budget_gives_no_floor():
-    # with 20 nodes per decision the K2 x K4 sub-run runs out where the
-    # P3 x K4 run does not: the run then settles all four representatives,
-    # as the walk with no floor does
-    g, h = path(3), complete(4)
-    assert product._min_floor(g, h) == 6
-    assert product._min_floor(g, h, node_budget=20) is None
-    assert sierpinski_chi(g, h, "min", reduce_symmetry=True).explored == 2
-    got = sierpinski_chi(g, h, "min", reduce_symmetry=True, node_budget=20)
+    # with 75 nodes per search the K3 x C4 sub-run runs out where the first
+    # PAW x C4 map does not: the run then goes on past that map, which
+    # attains the floor, and runs out where the walk with no floor does
+    g, h = PAW, CYCLE4
+    assert product._min_floor(g, h) == 5
+    assert product._min_floor(g, h, node_budget=75) is None
+    assert sierpinski_chi(g, h, "min", reduce_symmetry=True).explored == 1
+    got = sierpinski_chi(g, h, "min", reduce_symmetry=True, node_budget=75)
     assert _summary(got) == _reference_chi(g, h, "min", reduce_symmetry=True,
-                                           node_budget=20, floor=False)
-    assert got.explored == 4
+                                           node_budget=75, floor=False)
+    assert got.explored == 2 and not got.complete
+    # every K2 x K4 product has diameter 3, so each map of the sub-run is
+    # one joint packing search of 5 nodes, and 20 nodes are enough
+    assert product._min_floor(path(3), complete(4), node_budget=20) == 6
 
 
 def test_reduced_maps_are_the_orbit_minima():
