@@ -331,7 +331,7 @@ def _joint_packing_solution(balls, n: int, node_budget: Optional[int]
     near1, near2 = balls.within(1), balls.within(2)
     conflict = tuple(near1[v] | 1 << (n + v) for v in range(n)) + \
         tuple(near2[v] << n | 1 << v for v in range(n))
-    beta2, chosen, _ = _max_packing_search(conflict, 2 * n, node_budget)
+    beta2, chosen, _ = _max_packing_search(conflict, node_budget)
     if beta2 == n:
         return None
     colors = []

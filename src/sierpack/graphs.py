@@ -262,7 +262,11 @@ def check_exact_order(n: int, max_order: int) -> None:
 
 
 def check_recursion_room(n: int, what: str = "order") -> None:
-    limit = sys.getrecursionlimit() - 100  # frames left to the callers
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    # frames left to the callers: those in use plus 20, at least 100
+    limit = sys.getrecursionlimit() - max(100, depth + 20)
     if n > limit:
         raise GraphTooLargeError(f"{what} {n} exceeds recursion bound {limit}")
 
@@ -298,7 +302,7 @@ def max_packing(g: Graph, i: int,
     balls = distances(g)
     conflict = balls.within(i)
     if g.size != n - 1 or not balls.connected:
-        return _max_packing_search(conflict, n)[0]
+        return _max_packing_search(conflict)[0]
     kept = 0
     for v in reversed(reachable(g)):  # BFS order reversed: deepest first
         if not conflict[v] & kept:
@@ -306,19 +310,20 @@ def max_packing(g: Graph, i: int,
     return kept.bit_count()
 
 
-def _max_packing_search(conflict: tuple[int, ...], n: int,
+def _max_packing_search(conflict: tuple[int, ...],
                         node_budget: Optional[int] = None
                         ) -> tuple[int, int, int]:
-    """A largest vertex set with no two in conflict (``conflict[v]`` is the
-    bitmask of v's conflicts, v itself included): its size, the set as a
-    bitmask and the number of branches, the nodes of the search tree with
-    the root.  It is a maximum-clique branch and bound on the complement
-    (Tomita and Seki 2003, MCQ).  Each node covers its candidates greedily
-    by cliques of the conflict graph, taking the lowest candidate and then
-    the lowest that conflicts with every vertex so far; a set with no two
-    in conflict holds at most one vertex of each clique.  It branches on
-    the vertices of the last clique first and cuts once size plus the
-    clique count left cannot beat the best.
+    """A largest set of the vertices 0..len(conflict) - 1 with no two in
+    conflict (``conflict[v]`` is the bitmask of v's conflicts, v itself
+    included): its size, the set as a bitmask and the number of branches,
+    the nodes of the search tree with the root.  It is a maximum-clique
+    branch and bound on the complement (Tomita and Seki 2003, MCQ).  Each
+    node covers its candidates greedily by cliques of the conflict graph,
+    taking the lowest candidate and then the lowest that conflicts with
+    every vertex so far; a set with no two in conflict holds at most one
+    vertex of each clique.  It branches on the vertices of the last clique
+    first and cuts once size plus the clique count left cannot beat the
+    best.
 
     The search recurses once per vertex in the set, so the root cover's
     clique count is checked against the recursion room
@@ -355,7 +360,7 @@ def _max_packing_search(conflict: tuple[int, ...], n: int,
             grow(cand & ~conflict[bit.bit_length() - 1], chosen | bit,
                  size + 1)
 
-    grow((1 << n) - 1, 0, 0)
+    grow((1 << len(conflict)) - 1, 0, 0)
     return best, best_set, branches
 
 

@@ -309,9 +309,15 @@ class SierpinskiChiResult:
 
 
 def _complete_pair_floor(g: Graph, h: Graph) -> Optional[int]:
-    """The mn-2m+2 lower bound valid for every f when both factors are
-    complete with order >= 3 (the closed form of their minimum); None when
-    it does not apply."""
+    """The mn-2m+2 lower bound valid for every f when G = K_m and H = K_n,
+    m, n >= 3; None otherwise.  Proof: two vertices of one fiber are
+    adjacent and any other two are joined by a step, the connecting edge
+    and a step, so the diameter is at most 3 and every class of a color
+    >= 3 is one vertex; each fiber is a clique, so classes 1 and 2 hold at
+    most m vertices each.  So k colors cover at most 2m + k - 2 of the mn
+    vertices.  The bound holds for all m and n, but only for m, n >= 3 is
+    it used, where it equals the minimum; on a K2 base it would stop runs
+    early and change explored."""
     m, n = g.order, h.order
     if m >= 3 and n >= 3 and g.size == m * (m - 1) // 2 \
             and h.size == n * (n - 1) // 2:
@@ -335,7 +341,7 @@ def _min_floor(g: Graph, h: Graph, **limits) -> Optional[int]:
     full = (1 << n) - 1
     # a largest set with no two non-adjacent vertices: a largest clique
     omega = _max_packing_search(
-        tuple(full ^ sum(1 << u for u in nbrs) for nbrs in g.adj), n)[0]
+        tuple(full ^ sum(1 << u for u in nbrs) for nbrs in g.adj))[0]
     if not 2 <= omega < n:
         return None
     sub = sierpinski_chi(complete(omega), h, "min", reduce_symmetry=True,

@@ -14,16 +14,13 @@ each of the n1 components left then has order ≡ 0 (mod n2), so all have
 order exactly n2.  Contracting the components gives the quotient tree, the
 candidate base.
 
-Peel order.  The base is numbered in the order in which earlier versions
-peeled fibers greedily: at each step they cut the least edge (lower
-endpoint, then higher endpoint) with a side of order n2 in what was left,
-and peeled that side; when both sides had order n2, the side without the
-lowest vertex left.  In a union of components, an edge inside a component
-keeps a side of order ≢ 0 (mod n2), and a cut edge has a side of order n2
-exactly when that side is a leaf of the quotient.  So that order is
-replayed on the quotient tree with a heap of its leaves keyed by their
-connecting edge, and the trace, the base numbering, the fiber (the first
-peeled component) and the map are the ones the peel gave.
+Peel order.  The component holding vertex 0 is base vertex n1 - 1; every
+other component, taken in preorder of its top vertex v (the end of its
+cut edge inside it), is numbered n1 - 2, n1 - 3, ... down to 0, and its
+link is (v, parent[v]).  The components below fiber i in the rooting come after it
+in preorder, so fiber i is a leaf of the quotient on fibers i..n1 - 1 and
+its link goes up to a higher-numbered fiber: the numbering is a peel order,
+and the fiber is component 0.
 
 Map reconstruction works backwards through the peel record.  Each
 component gets an isomorphism φ onto the fiber H; the far endpoint of a
@@ -44,8 +41,8 @@ every rooted isomorphism asked for exists and ψ is an isomorphism.  On a
 split for which x is not a product no ψ certifies, whatever was chosen.
 
 Cost.  One rooting per input.  A split costs O(n1) when it is rejected by
-the size counts, and otherwise O(n) for the cut, plus O(n1 log n1) for the
-heap and O(n log n2) for sorting children: no depth term.
+the size counts, and otherwise O(n) for the cut and O(n log n2) for
+sorting children: no depth term.
 Each component is labelled once, rooted at a center or at its near
 endpoint, in one AHU table per split (Aho, Hopcroft and Ullman 1974); the
 fiber's labellings are cached per root.  The certificate is one pass over
@@ -55,7 +52,6 @@ the edges of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .errors import InconsistentTraceError
@@ -261,59 +257,25 @@ def _rooting(x: Graph) -> _Rooting:
 
 def _peel_trace(x: Graph, n1: int, n2: int, rooting: _Rooting
                 ) -> tuple[Optional[PeelTrace], str]:
-    """Cut the edges with a side of order ≡ 0 (mod n2) and replay the
-    greedy peel order on the quotient tree (module docstring).  Returns
-    the trace, or None and the reason the split has none."""
+    """Cut the edges with a side of order ≡ 0 (mod n2), numbering the
+    components in the same preorder pass (module docstring, "Peel order").
+    Returns the trace, or None and the reason the split has none."""
     order, parent, size, count = rooting
     cuts = sum(count[n2 * k] for k in range(1, n1))
     if cuts != n1 - 1:
         return None, (f"{cuts} edges have a side of order divisible by "
                       f"{n2}, not n1 - 1 = {n1 - 1}")
-    owner = [0] * x.order
-    k = 1              # components found so far
-    xor_cut = [0] * n1  # xor of the cut vertices on a component's cut edges
-    degree = [0] * n1  # number of cut edges left at a component
+    owner = [n1 - 1] * x.order
+    links = [(0, 0)] * (n1 - 1)
+    k = n1 - 1
     for v in order[1:]:
         if size[v] % n2:
             owner[v] = owner[parent[v]]
         else:
-            j = owner[parent[v]]
+            k -= 1
             owner[v] = k
-            xor_cut[k] = v
-            xor_cut[j] ^= v
-            degree[k] = 1
-            degree[j] += 1
-            k += 1
-
-    def key(i: int) -> tuple[int, int, int]:
-        c, p = xor_cut[i], parent[xor_cut[i]]
-        return (c, p, i) if c < p else (p, c, i)
-
-    heap = [key(i) for i in range(n1) if degree[i] == 1]
-    heapify(heap)
-    rank = [0] * n1  # base index of each component, in peel order
-    links: list[tuple[int, int]] = []
-    for step in range(n1 - 2):
-        i = heappop(heap)[2]
-        c = xor_cut[i]
-        near, far = (c, parent[c]) if owner[c] == i else (parent[c], c)
-        rank[i] = step
-        links.append((near, far))
-        j = owner[far]
-        xor_cut[j] ^= c
-        degree[j] -= 1
-        if degree[j] == 1:
-            heappush(heap, key(j))
-    # two components left, joined by one edge: peel the side without the
-    # lowest vertex left
-    c = xor_cut[heap[0][2]]
-    near, far = c, parent[c]
-    a, b = owner[near], owner[far]
-    if owner[next(v for v, i in enumerate(owner) if i == a or i == b)] == a:
-        near, far, a, b = far, near, b, a
-    rank[a], rank[b] = n1 - 2, n1 - 1
-    links.append((near, far))
-    return PeelTrace(x, tuple(rank[i] for i in owner), tuple(links)), "ok"
+            links[k] = (v, parent[v])
+    return PeelTrace(x, tuple(owner), tuple(links)), "ok"
 
 
 def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting

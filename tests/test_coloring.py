@@ -169,6 +169,26 @@ def test_decision_rejects_orders_past_the_recursion_limit(monkeypatch):
     assert chi_rho_decision(path(50), 3, max_order=100) is not None
 
 
+def test_recursion_bound_counts_the_frames_in_use():
+    # a caller already 300 frames deep gets GraphTooLargeError from both
+    # recursive searches, not a RecursionError: the bound leaves the frames
+    # in use plus 20 to the callers, not a flat 100
+    def deep(frames, call):
+        return call() if frames == 0 else deep(frames - 1, call)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(GraphTooLargeError, match="order 850 exceeds"):
+            deep(300, lambda: chi_rho_decision(path(850), 3, max_order=900))
+        with pytest.raises(GraphTooLargeError,
+                           match="packing depth 850 exceeds"):
+            deep(300, lambda: max_packing(Graph.from_edges(850, []), 1,
+                                          max_order=900))
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_budget_is_distinct_from_unsat():
     with pytest.raises(SearchBudgetExceeded):
         chi_rho_decision(corona(path(6), 2), 4, node_budget=5)

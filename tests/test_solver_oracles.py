@@ -43,7 +43,7 @@ class _Pruefer:
 def _assert_tree_capacities(t):
     for c in CAPACITY_RADII:
         assert max_packing(t, c) == \
-            _max_packing_search(distances(t).within(c), t.order)[0], (t, c)
+            _max_packing_search(distances(t).within(c))[0], (t, c)
 
 
 def test_tree_capacities_on_every_labeled_tree_to_order_7():
@@ -190,7 +190,7 @@ def _plain_packing_number(g, i):
 def test_packing_search_agrees_with_subset_enumeration(g):
     for i in (1, 2, 3):
         want = _plain_packing_number(g, i)
-        assert _max_packing_search(distances(g).within(i), g.order)[0] == want
+        assert _max_packing_search(distances(g).within(i))[0] == want
         assert max_packing(g, i) == want
 
 
