@@ -24,9 +24,9 @@ from .errors import (EnumerationBudgetExceeded, FactorMismatchError,
                      InputFormatError, SearchBudgetExceeded, SierpackError)
 from .families import FAMILIES
 from .formats import emit_dot, emit_graph_text, sniff_parse
-from .graphs import Graph, complete, path, star
-from .product import (DEFAULT_ENUM_BOUND, VertexMap, sierpinski_chi,
-                      sierpinski_product)
+from .graphs import Graph, check_exact_order, complete, path, star
+from .product import (DEFAULT_ENUM_BOUND, SierpinskiChiResult, VertexMap,
+                      map_count, sierpinski_chi, sierpinski_product)
 from .recognition import recognize_tree_product
 
 EXIT_OK = 0
@@ -40,15 +40,36 @@ _OUTPUTS = ("out", "dot", "emit_coloring", "json")
 _FAMILY_SPEC = re.compile(r"^([KPS])(\d+)$|^K1,(\d+)$")
 
 
-def _graph_from_spec(spec: str) -> Graph:
-    """K5 / P4 / S3 / K1,3 shorthand, or a path to a graph file."""
+def _shorthand(spec: str):
+    """(builder, n, order) of a K5 / P4 / S3 / K1,3 shorthand, or None for
+    a file path."""
     m = _FAMILY_SPEC.match(spec)
-    if m:
-        if m.group(3) is not None:
-            return star(int(m.group(3)))
-        kind, num = m.group(1), int(m.group(2))
-        return {"K": complete, "P": path, "S": star}[kind](num)
-    return _read_graph(spec)
+    if m is None:
+        return None
+    kind, num = ("S", m.group(3)) if m.group(3) is not None \
+        else m.group(1, 2)
+    num = int(num)
+    return {"K": complete, "P": path, "S": star}[kind], num, \
+        num + (kind == "S")
+
+
+def _spec_order(spec: str) -> Optional[int]:
+    """The order of a shorthand that names a graph, found without building
+    it; None for a file path or a shorthand below 1."""
+    short = _shorthand(spec)
+    return short[2] if short and short[1] >= 1 else None
+
+
+def _graph_from_spec(spec: str, max_order: Optional[int] = None) -> Graph:
+    """K5 / P4 / S3 / K1,3 shorthand, or a path to a graph file.  With
+    max_order, a larger shorthand is rejected before it is built."""
+    short = _shorthand(spec)
+    if short is None:
+        return _read_graph(spec)
+    build, num, order = short
+    if max_order is not None:
+        check_exact_order(order, max_order)
+    return build(num)
 
 
 def _read_graph(filename: str) -> Graph:
@@ -152,9 +173,9 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_chirho(args) -> int:
-    g = _read_graph(args.graph)
     budget = _checked_budget(args.budget)
     max_order = _positive(args.max_order, "--max-order")
+    g = _graph_from_spec(args.graph, max_order)
     if args.decision is not None:
         witness = chi_rho_decision(g, args.decision, node_budget=budget,
                                    max_order=max_order)
@@ -175,16 +196,27 @@ def _cmd_chirho(args) -> int:
 
 
 def _cmd_schirho(args) -> int:
-    base = _graph_from_spec(args.base)
-    fiber = _graph_from_spec(args.fiber)
+    # files are read first, in argument order; a shorthand is built only
+    # once the map count and the product order are known to be in bounds,
+    # the checks sierpinski_chi makes first
+    specs = (args.base, args.fiber)
+    orders = [_spec_order(spec) for spec in specs]
+    graphs = [None if order else _graph_from_spec(spec)
+              for spec, order in zip(specs, orders)]
     budget = _checked_budget(args.budget)
-    result = sierpinski_chi(base, fiber, args.mode,
-                            reduce_symmetry=args.reduce,
-                            enum_bound=_positive(args.enum_bound,
-                                                 "--enum-bound"),
-                            node_budget=budget,
-                            max_order=_positive(args.max_order,
-                                                "--max-order"))
+    enum_bound = _positive(args.enum_bound, "--enum-bound")
+    max_order = _positive(args.max_order, "--max-order")
+    m, n = (order or g.order for order, g in zip(orders, graphs))
+    if map_count(m, n, enum_bound) is None:
+        result = SierpinskiChiResult(None, None, None, 0, False)
+    else:
+        check_exact_order(m * n, max_order)
+        base, fiber = (g or _graph_from_spec(spec)
+                       for spec, g in zip(specs, graphs))
+        result = sierpinski_chi(base, fiber, args.mode,
+                                reduce_symmetry=args.reduce,
+                                enum_bound=enum_bound, node_budget=budget,
+                                max_order=max_order)
     payload = {"mode": args.mode, "value": result.value,
                "explored_maps": result.explored, "complete": result.complete}
     if result.witness_map is not None:
@@ -231,7 +263,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    g = _read_graph(args.graph)
+    g = _graph_from_spec(args.graph)
     outcome = recognize_tree_product(g)
     factorizations = [{"n1": fact.base.order, "n2": fact.fiber.order,
                        "base_edges": emit_graph_text(fact.base),
@@ -273,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("chirho", help="exact packing chromatic number")
-    p.add_argument("graph", help="graph file (edge list or graph6)")
+    p.add_argument("graph", help="graph file (edge list or graph6) or "
+                                 "K5 / P4 / S3 / K1,3 shorthand")
     p.add_argument("--decision", type=int, default=None,
                    help="ask SAT/UNSAT for this many colors instead")
     p.add_argument("--budget", type=int, default=None,
@@ -312,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize",
                        help="factor a graph as a product of two trees")
-    p.add_argument("graph")
+    p.add_argument("graph", help="graph file (edge list or graph6) or "
+                                 "K5 / P4 / S3 / K1,3 shorthand")
     p.add_argument("--json", help="also write the result JSON here")
     p.set_defaults(fn=_cmd_recognize)
 

@@ -49,10 +49,11 @@ which is a distinct "unknown" outcome.
 
 chi_rho_naive is an intentionally plain second path (index order, direct
 conflict checks only, no bounds) kept for cross-checking the main solver.
-The main solver, the repair and the class capacities read the cached
-distance balls (graphs.distances); chi_rho_naive and the certificate check,
-verify_packing_coloring, search with graphs.bfs_layers and share no state
-with them.
+The main solver, the repair and the class capacities read the graph's
+cached record (graphs.distances): its distance balls, its capacities and
+the static and repair orders, each sorted once per graph.  chi_rho_naive
+and the certificate check, verify_packing_coloring, search with
+graphs.bfs_layers and share no state with them.
 packing_capacity, chi_rho_decision and chi_rho_exact check the order before
 any balls are built; the decision search also the recursion room
 (check_recursion_room), and chi_rho_exact the connectivity before any
@@ -177,9 +178,7 @@ def chi_rho_decision(g: Graph, k: int, *,
     # near[c][v]: vertices within distance c of v; v itself is never in
     # uncolored when near[c][v] is read
     near = [balls.within(c) for c in range(k + 1)]
-    ball2 = balls.within(2)
-    order = sorted(range(n), key=lambda v: (-ball2[v].bit_count(),
-                                            -g.degree(v), v))
+    order = balls.static_order
 
     caps = [0] + [packing_capacity(g, c, max_order) for c in range(1, k + 1)]
 
@@ -353,7 +352,8 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
     color per vertex with 0 for none, or None once a vertex fits no color
     <= cap and cannot evict.
 
-    Vertices are visited by descending degree, ties in index order.  A
+    Vertices are visited by descending degree, ties in index order (the
+    graph's Balls.degree_order, sorted once per graph).  A
     vertex keeps its start color c <= cap unless a vertex kept before it
     has color c within distance c; then the dropped vertices, in the same
     order, each take their least feasible color.  From an all-zero start
@@ -367,15 +367,14 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
     order.  Each class stays a c-packing at every step, so a coloring
     returned is valid.  With no evictions this is the plain repair.  Ball
     rows are grown only for the colors in use."""
-    within = distances(g).within
+    balls = distances(g)
+    within = balls.within
     members = [0] * (cap + 1)  # members[c]: the vertices colored c so far
     near: list = [None] * (cap + 1)  # within(c), fetched when c comes in use
     colors = [0] * g.order
     evicted_from = [0] * g.order  # the color each vertex last lost
-    # sorted is stable, so vertices of equal degree stay in index order
-    order = sorted(range(g.order), key=lambda v: -len(g.adj[v]))
     dropped = deque()
-    for v in order:
+    for v in balls.degree_order:
         c = start[v]
         if 0 < c <= cap and not (members[c] and members[c] & near[c][v]):
             if not members[c]:

@@ -2,10 +2,11 @@
 and tree machinery the rest of the package is built on.
 
 Graphs are immutable after construction and all operations here are pure
-functions of their inputs.  The per-graph distance balls behind
-``distances`` serve the solver: they are cached and shared between
-structurally equal graphs, so each ``Balls`` grows its rows under its own
-lock.  All other distances come from ``bfs_layers``, in O(n) memory.
+functions of their inputs.  The per-graph record behind ``distances``
+(``Balls``: distance balls, BFS order, tree flag, search orders) serves
+the solver: it is cached and shared between structurally equal graphs, so
+each ``Balls`` grows its rows under its own lock.  All other distances
+come from ``bfs_layers``, in O(n) memory.
 max_packing checks its order (check_exact_order) before any balls are built,
 and its clique-cover search the recursion room (check_recursion_room)
 before its first branch.
@@ -17,7 +18,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import GraphTooLargeError, NotATreeError, SearchBudgetExceeded
@@ -162,22 +163,51 @@ def corona(g: Graph, p: int) -> Graph:
 # distances
 
 class Balls:
-    """Distance balls of one graph, for the solver, the repair and alpha_c:
+    """The per-graph record of what the solver, the repair and alpha_c
+    derive from a graph alone.
+
     ``within(r)[v]`` is the bitmask of the vertices within distance r of v
-    (none in another component).  ``ball`` holds
-    the rows grown so far; row r+1, ball[r][v] or-ed with ball[r][w] over
-    the neighbours w of v, is grown only when asked for, so memory follows
-    the largest radius used, not the diameter.  Rows are grown under
-    ``lock``, as the object may be shared between threads.  ``capacity``
-    memoizes alpha_c of the same graph (coloring.packing_capacity)."""
+    (none in another component).  ``ball`` holds the rows grown so far; row
+    r+1, ball[r][v] or-ed with ball[r][w] over the neighbours w of v, is
+    grown only when asked for, so memory follows the largest radius used,
+    not the diameter.  Rows are grown under ``lock``, as the object may be
+    shared between threads.  ``bfs`` is the BFS order from vertex 0 that
+    the connectivity check takes, ``capacity`` memoizes alpha_c
+    (coloring.packing_capacity), and ``tree``, ``static_order`` and
+    ``degree_order`` are filled in the first time they are read.  Those
+    three are set without ``lock``: each is a pure function of the graph,
+    so threads that fill one at once store equal values.  All of it is
+    evicted together (distances)."""
 
     def __init__(self, g: Graph):
         self.adj = g.adj
         self.ball = [tuple(1 << v for v in range(g.order))]
         self.last = False  # set once a grown row equals the one before it
         self.lock = threading.Lock()
-        self.connected = is_connected(g)
+        self.bfs = reachable(g)
+        self.connected = len(self.bfs) == g.order
         self.capacity: dict[int, int] = {}
+
+    @cached_property
+    def tree(self) -> bool:
+        """Whether the graph is a tree: connected with order - 1 edges."""
+        return self.connected and \
+            sum(map(len, self.adj)) == 2 * (len(self.adj) - 1)
+
+    @cached_property
+    def static_order(self) -> tuple[int, ...]:
+        """The decision search's static order: by descending size of the
+        distance-2 ball, then by descending degree, then by index."""
+        adj, ball2 = self.adj, self.within(2)
+        return tuple(sorted(range(len(adj)), key=lambda v: (
+            -ball2[v].bit_count(), -len(adj[v]), v)))
+
+    @cached_property
+    def degree_order(self) -> tuple[int, ...]:
+        """The repair's order: by descending degree, ties by index."""
+        adj = self.adj
+        # sorted is stable, so vertices of equal degree stay in index order
+        return tuple(sorted(range(len(adj)), key=lambda v: -len(adj[v])))
 
     def within(self, r: int) -> tuple[int, ...]:
         """Row r; past the largest eccentricity every row is the last."""
@@ -202,7 +232,7 @@ class Balls:
 
 @lru_cache(maxsize=512)
 def distances(g: Graph) -> Balls:
-    """The distance balls of g, cached per graph (the 512 most recent)."""
+    """The record (Balls) of g, cached per graph (the 512 most recent)."""
     return Balls(g)
 
 
@@ -279,7 +309,9 @@ def max_packing(g: Graph, i: int,
 
     On a tree one greedy pass is exact (Meir and Moon 1975): root it
     anywhere, take the vertices by non-increasing depth and keep each one
-    whose i-ball holds no vertex kept so far.  Proof sketch, an exchange on
+    whose i-ball holds no vertex kept so far.  The tree test and the pass,
+    the BFS order from vertex 0 reversed, read the graph's cached Balls,
+    so every alpha_c of one graph shares one BFS.  Proof sketch, an exchange on
     the vertex v being taken when it is kept.  Let P be a largest packing
     that agrees with every choice made before v.  Each vertex y of P within
     distance i of v is undecided, so it is no deeper than v; with l_y where
@@ -301,10 +333,10 @@ def max_packing(g: Graph, i: int,
     check_exact_order(n, max_order)
     balls = distances(g)
     conflict = balls.within(i)
-    if g.size != n - 1 or not balls.connected:
+    if not balls.tree:
         return _max_packing_search(conflict)[0]
     kept = 0
-    for v in reversed(reachable(g)):  # BFS order reversed: deepest first
+    for v in reversed(balls.bfs):  # BFS order reversed: deepest first
         if not conflict[v] & kept:
             kept |= 1 << v
     return kept.bit_count()

@@ -231,6 +231,16 @@ def automorphisms(g: Graph, limit: Optional[int] = None
     return list(itertools.islice(search(), limit))
 
 
+def map_count(m: int, n: int, bound: int) -> Optional[int]:
+    """n^m, the number of maps from m base vertices to n fiber vertices,
+    or None when it exceeds bound.  With n >= 2 and 2^m > bound the count
+    is not formed, so a huge base costs nothing."""
+    if n > 1 and m >= bound.bit_length():  # n^m >= 2^m > bound
+        return None
+    total = n ** m
+    return total if total <= bound else None
+
+
 def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
                    enum_bound: int = DEFAULT_ENUM_BOUND) -> Iterator[VertexMap]:
     """All maps V(G) -> V(H) in lexicographic order of their image tuples.
@@ -253,10 +263,10 @@ def enumerate_maps(g: Graph, h: Graph, reduce_symmetry: bool = False,
     stops there never pays for them.
     """
     m, n = g.order, h.order
-    total = n ** m
-    if total > enum_bound:
+    total = map_count(m, n, enum_bound)
+    if total is None:
         raise EnumerationBudgetExceeded(
-            f"{n}^{m} = {total} maps exceeds bound {enum_bound}")
+            f"{n}^{m} maps exceeds bound {enum_bound}")
     if not reduce_symmetry:
         for image in itertools.product(range(n), repeat=m):
             yield VertexMap(m, n, image)

@@ -146,6 +146,30 @@ def test_schirho(capsys):
     assert code == 0 and payload["value"] == 7
 
 
+def test_chirho_and_recognize_take_graph_shorthands(capsys):
+    code, payload = _run(capsys, "chirho", "P8")
+    assert code == 0 and payload["value"] == 3 and payload["verified"]
+    code, payload = _run(capsys, "recognize", "P12")
+    assert code == 0 and payload["status"] == "factored"
+
+
+def test_shorthands_past_the_bounds_are_never_built(capsys, monkeypatch):
+    # P99999999999 would exhaust memory, and 2^99999999999 maps too
+    def no_path(n):
+        raise AssertionError(f"path({n}) built")
+    monkeypatch.setattr(cli, "path", no_path)
+    code, payload = _run(capsys, "schirho", "--base", "P99999999999",
+                         "--fiber", "K2")
+    assert code == 3
+    assert payload == {"mode": "min", "value": None, "explored_maps": 0,
+                       "complete": False}
+    for argv in (["chirho", "P99999999999"],
+                 ["schirho", "--base", "P99999999999", "--fiber", "K1"]):
+        assert main(argv) == 1
+        assert "order 99999999999 exceeds exact-search bound 40" in \
+            capsys.readouterr().err
+
+
 def test_family_values(capsys):
     code, payload = _run(capsys, "family", "complete-complete",
                          "--params", "m=3,n=4", "--mode", "max")

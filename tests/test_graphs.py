@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -6,6 +7,9 @@ from itertools import combinations
 
 import pytest
 
+from sierpack import graphs
+from sierpack.coloring import (chi_rho_decision, chi_rho_exact,
+                               chi_rho_lower_bound)
 from sierpack.errors import GraphTooLargeError, NotATreeError
 from sierpack.graphs import (Balls, Graph, bfs_layers, complete, corona,
                              diameter, distances, free_trees, is_connected,
@@ -102,6 +106,75 @@ def test_balls_grown_from_concurrent_threads_stay_right():
         _from_threads(lambda: balls.within(30))
         assert balls.within(30)[0] == (1 << 31) - 1
         assert len(balls.ball) == 31
+
+
+def test_balls_derived_fields():
+    g = corona(path(4), 1)
+    balls = Balls(g)
+    assert balls.bfs == reachable(g) and balls.connected and balls.tree
+    ball2 = balls.within(2)
+    assert balls.static_order == tuple(sorted(range(g.order), key=lambda v: (
+        -ball2[v].bit_count(), -g.degree(v), v)))
+    assert balls.degree_order == (1, 2, 0, 3, 4, 5, 6, 7)
+    cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert Balls(cycle).connected and not Balls(cycle).tree
+    split = Graph.from_edges(4, [(0, 1), (2, 3)])  # order - 2 edges
+    assert not Balls(split).connected and not Balls(split).tree
+    # order - 1 edges, but a triangle and a vertex apart
+    apart = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert Balls(apart).bfs == [0, 1, 2] and not Balls(apart).tree
+
+
+def _fills(monkeypatch):
+    # every BFS that builds a record, and every fill of its lazy fields
+    fills = []
+    bfs = graphs.reachable
+    monkeypatch.setattr(graphs, "reachable", lambda g, start=0: (
+        fills.append("bfs") or bfs(g, start)))
+    for name in ("tree", "static_order", "degree_order"):
+        def fill(balls, name=name, func=getattr(Balls, name).func):
+            fills.append(name)
+            return func(balls)
+        prop = functools.cached_property(fill)
+        prop.__set_name__(Balls, name)
+        monkeypatch.setattr(Balls, name, prop)
+    return fills
+
+
+def test_one_record_serves_every_capacity_and_rung(monkeypatch):
+    g = corona(path(11), 2)  # a tree; alpha_1..alpha_5 and rungs k = 2..5
+    distances.cache_clear()
+    fills = _fills(monkeypatch)
+    assert chi_rho_lower_bound(g) == 2
+    assert chi_rho_exact(g)[0] == 5
+    assert sorted(fills) == ["bfs", "static_order", "tree"]
+
+
+def test_equal_graphs_share_one_record(monkeypatch):
+    g = corona(path(11), 2)
+    copy = Graph.from_edges(g.order, reversed(list(g.edges())))
+    assert copy is not g and distances(copy) is distances(g)
+    value, witness = chi_rho_exact(g)
+    fills = _fills(monkeypatch)
+    assert chi_rho_exact(copy) == (value, witness)
+    assert fills == []
+
+
+def test_decisions_from_threads_fill_one_record_alike():
+    # the lazy fields of a fresh record are filled by four threads at once
+    g = corona(path(11), 2)
+    want = chi_rho_decision(g, 5)
+    assert want is not None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            distances.cache_clear()
+            got = []
+            _from_threads(lambda: got.append(chi_rho_decision(g, 5)))
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_triangle_inequality_random():

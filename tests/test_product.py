@@ -11,7 +11,7 @@ from sierpack.families import complete_pair_value
 from sierpack.graphs import (Graph, complete, diameter, distances, path,
                              random_tree, star, tree_isomorphic)
 from sierpack.product import (VertexMap, automorphisms, enumerate_maps,
-                              sierpinski_chi, sierpinski_product)
+                              map_count, sierpinski_chi, sierpinski_product)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -235,6 +235,15 @@ def test_enumerate_counts_and_order():
     assert sum(1 for _ in enumerate_maps(complete(3), complete(3))) == 27
     with pytest.raises(EnumerationBudgetExceeded):
         list(enumerate_maps(complete(10), complete(10), enum_bound=1000))
+
+
+def test_map_count_stops_at_the_bound():
+    for m, n, bound in ((3, 30, 27000), (3, 30, 26999), (20, 2, 2 ** 20),
+                        (21, 2, 2 ** 21 - 1), (10 ** 11, 1, 1), (5, 0, 1)):
+        assert map_count(m, n, bound) == (n ** m if n ** m <= bound
+                                          else None)
+    # 2^(10^11) would take gigabytes; it is never formed
+    assert map_count(10 ** 11, 2, product.DEFAULT_ENUM_BOUND) is None
 
 
 def test_reduction_hits_every_isomorphism_class():
