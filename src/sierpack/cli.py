@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import checks
 from .coloring import (DEFAULT_SOLVER_BOUND, chi_rho_decision,
@@ -40,36 +40,25 @@ _OUTPUTS = ("out", "dot", "emit_coloring", "json")
 _FAMILY_SPEC = re.compile(r"^([KPS])(\d+)$|^K1,(\d+)$")
 
 
-def _shorthand(spec: str):
-    """(builder, n, order) of a K5 / P4 / S3 / K1,3 shorthand, or None for
-    a file path."""
+def _graph_arg(spec: str) -> tuple[int, Callable[[], Graph]]:
+    """The order of a graph argument and a function that returns it.  A
+    file (edge list or graph6) is read at once; a K5 / P4 / S3 / K1,3
+    shorthand is built only when asked for, so its bounds come first."""
     m = _FAMILY_SPEC.match(spec)
     if m is None:
-        return None
-    kind, num = ("S", m.group(3)) if m.group(3) is not None \
-        else m.group(1, 2)
+        g = _read_graph(spec)
+        return g.order, lambda: g
+    kind, num = ("S", m.group(3)) if m.group(3) else m.group(1, 2)
     num = int(num)
-    return {"K": complete, "P": path, "S": star}[kind], num, \
-        num + (kind == "S")
+    build = {"K": complete, "P": path, "S": star}[kind]
+    if num < 1:
+        build(num)  # raises the builder's own ValueError
+    return num + (kind == "S"), lambda: build(num)
 
 
-def _spec_order(spec: str) -> Optional[int]:
-    """The order of a shorthand that names a graph, found without building
-    it; None for a file path or a shorthand below 1."""
-    short = _shorthand(spec)
-    return short[2] if short and short[1] >= 1 else None
-
-
-def _graph_from_spec(spec: str, max_order: Optional[int] = None) -> Graph:
-    """K5 / P4 / S3 / K1,3 shorthand, or a path to a graph file.  With
-    max_order, a larger shorthand is rejected before it is built."""
-    short = _shorthand(spec)
-    if short is None:
-        return _read_graph(spec)
-    build, num, order = short
-    if max_order is not None:
-        check_exact_order(order, max_order)
-    return build(num)
+def _graph_from_spec(spec: str) -> Graph:
+    """A graph argument: a graph file or a K5 / P4 / S3 / K1,3 shorthand."""
+    return _graph_arg(spec)[1]()
 
 
 def _read_graph(filename: str) -> Graph:
@@ -173,9 +162,11 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_chirho(args) -> int:
+    order, build = _graph_arg(args.graph)
     budget = _checked_budget(args.budget)
     max_order = _positive(args.max_order, "--max-order")
-    g = _graph_from_spec(args.graph, max_order)
+    check_exact_order(order, max_order)  # before a shorthand is built
+    g = build()
     if args.decision is not None:
         witness = chi_rho_decision(g, args.decision, node_budget=budget,
                                    max_order=max_order)
@@ -196,23 +187,17 @@ def _cmd_chirho(args) -> int:
 
 
 def _cmd_schirho(args) -> int:
-    # files are read first, in argument order; a shorthand is built only
-    # once the map count and the product order are known to be in bounds,
-    # the checks sierpinski_chi makes first
-    specs = (args.base, args.fiber)
-    orders = [_spec_order(spec) for spec in specs]
-    graphs = [None if order else _graph_from_spec(spec)
-              for spec, order in zip(specs, orders)]
+    (m, build_base), (n, build_fiber) = map(_graph_arg,
+                                            (args.base, args.fiber))
     budget = _checked_budget(args.budget)
     enum_bound = _positive(args.enum_bound, "--enum-bound")
     max_order = _positive(args.max_order, "--max-order")
-    m, n = (order or g.order for order, g in zip(orders, graphs))
+    # sierpinski_chi's first two checks, made before a shorthand is built
     if map_count(m, n, enum_bound) is None:
         result = SierpinskiChiResult(None, None, None, 0, False)
     else:
         check_exact_order(m * n, max_order)
-        base, fiber = (g or _graph_from_spec(spec)
-                       for spec, g in zip(specs, graphs))
+        base, fiber = build_base(), build_fiber()
         result = sierpinski_chi(base, fiber, args.mode,
                                 reduce_symmetry=args.reduce,
                                 enum_bound=enum_bound, node_budget=budget,

@@ -310,8 +310,8 @@ def max_packing(g: Graph, i: int,
     On a tree one greedy pass is exact (Meir and Moon 1975): root it
     anywhere, take the vertices by non-increasing depth and keep each one
     whose i-ball holds no vertex kept so far.  The tree test and the pass,
-    the BFS order from vertex 0 reversed, read the graph's cached Balls,
-    so every alpha_c of one graph shares one BFS.  Proof sketch, an exchange on
+    the BFS order from vertex 0 reversed, read the graph's cached Balls, so
+    every alpha_c of one graph shares one BFS.  Proof sketch, an exchange on
     the vertex v being taken when it is kept.  Let P be a largest packing
     that agrees with every choice made before v.  Each vertex y of P within
     distance i of v is undecided, so it is no deeper than v; with l_y where
