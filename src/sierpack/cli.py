@@ -362,6 +362,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SierpackError, ValueError, KeyError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        # an input too large for this process, such as a shorthand of
+        # 10^11 vertices; what it had allocated is freed by now
+        print("rejected: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -55,9 +55,10 @@ the static and repair orders, each sorted once per graph.  chi_rho_naive
 and the certificate check, verify_packing_coloring, search with
 graphs.bfs_layers and share no state with them.
 packing_capacity, chi_rho_decision and chi_rho_exact check the order before
-any balls are built; the decision search also the recursion room
-(check_recursion_room), and chi_rho_exact the connectivity before any
-search.
+any balls are built, and chi_rho_exact the connectivity before any search.
+No search here recurses: the decision search keeps one frame per colored
+vertex on an explicit stack, and chi_rho_naive keeps its choices in its
+partial coloring, so only max_order and memory bound the orders they take.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ from typing import Optional, Sequence
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      SearchBudgetExceeded)
 from .graphs import (DEFAULT_SOLVER_BOUND, Graph, _max_packing_search,
-                     bfs_layers, check_exact_order, check_recursion_room,
-                     distances, max_packing)
+                     bfs_layers, check_exact_order, distances, max_packing)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,6 @@ def chi_rho_decision(g: Graph, k: int, *,
     """
     n = g.order
     check_exact_order(n, max_order)
-    check_recursion_room(n)
     balls = distances(g)
     if not balls.connected:
         raise DisconnectedGraphError("chi_rho_decision requires a connected graph")
@@ -181,15 +180,15 @@ def chi_rho_decision(g: Graph, k: int, *,
     order = balls.static_order
 
     caps = [0] + [packing_capacity(g, c, max_order) for c in range(1, k + 1)]
+    if sum(caps) < n:
+        return None
 
     full = (1 << (k + 1)) - 2  # bits 1..k
     banned = [0] * n
     # class_banned[c]: the union of the c-balls of the vertices colored c
     class_banned = [0] * (k + 1)
     colors = [0] * n
-    used = [0] * (k + 1)
-    if sum(caps[1:]) < n:
-        return None
+    spare = caps[:]  # spare[c]: the room left in class c
     # colors whose class can only ever hold one vertex are interchangeable
     # while unused, so only the smallest unused one is ever tried
     singleton = 0
@@ -199,82 +198,86 @@ def chi_rho_decision(g: Graph, k: int, *,
     unused_singletons = singleton
     uncolored = (1 << n) - 1
     nodes = 0
-
-    def dfs() -> bool:
-        nonlocal uncolored, unused_singletons, nodes
-        if not uncolored:
-            return True
-        # DSatur: the uncolored vertex with the fewest colors left, ties
-        # broken by the static order (largest distance-2 ball first)
-        v = -1
-        fewest = k + 1
+    # with no budget, a limit past the nodes of any search: there is at
+    # most one node per partial coloring, fewer than (k + 1) ** n
+    limit = (k + 1) ** n if node_budget is None else node_budget
+    stack = []  # (v, avail, need, bit, c, saved, touched) per colored vertex
+    while uncolored:
+        # DSatur: the uncolored vertex with the fewest colors left (the
+        # most banned), ties broken by the static order (largest
+        # distance-2 ball first); none has all k banned
+        v = most = -1
         for u in order:
             if not colors[u]:
-                left = (~banned[u] & full).bit_count()
-                if left < fewest:
-                    v, fewest = u, left
-                    if left == 1:
+                cnt = banned[u].bit_count()
+                if cnt > most:
+                    v, most = u, cnt
+                    if cnt == k - 1:
                         break
         uncolored ^= 1 << v
         need = uncolored.bit_count()
         avail = ~banned[v] & full
-        while avail:  # largest color first
-            bit = 1 << (avail.bit_length() - 1)
-            avail ^= bit
-            c = bit.bit_length() - 1
-            if bit & unused_singletons and \
-                    bit != unused_singletons & -unused_singletons:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(nodes)
-            colors[v] = c
-            used[c] += 1
-            unused_singletons &= ~bit
-            saved = class_banned[c]
-            class_banned[c] = saved | near[c][v]
-            # an uncolored vertex is banned from c exactly when it lies in
-            # the saved class mask, so only the rest gain the ban
-            touched = []
-            dead = False
-            hit = near[c][v] & uncolored & ~saved
-            while hit:
-                b = hit & -hit
-                hit ^= b
-                u = b.bit_length() - 1
-                banned[u] |= bit
-                touched.append(u)
-                if banned[u] == full:
-                    dead = True
+        while True:
+            if avail:  # largest color first
+                bit = 1 << (avail.bit_length() - 1)
+                avail ^= bit
+                if bit & unused_singletons and \
+                        bit != unused_singletons & -unused_singletons:
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise SearchBudgetExceeded(nodes)
+                c = bit.bit_length() - 1
+                colors[v] = c
+                spare[c] -= 1
+                unused_singletons &= ~bit
+                saved = class_banned[c]
+                ball = near[c][v]
+                class_banned[c] = saved | ball
+                # an uncolored vertex is banned from c exactly when it lies
+                # in the saved class mask, so only the rest gain the ban
+                touched = []
+                dead = False
+                hit = ball & uncolored & ~saved
+                while hit:
+                    b = hit & -hit
+                    hit ^= b
+                    u = b.bit_length() - 1
+                    ban = banned[u] | bit
+                    banned[u] = ban
+                    touched.append(u)
+                    if ban == full:
+                        dead = True
+                        break
+                if not dead and need:
+                    # remaining class capacities must still cover the
+                    # uncolored vertices, counting only vertices a class can
+                    # still take: those outside the balls of its members
+                    room = 0
+                    for rc, mask in zip(spare, class_banned):
+                        if rc > 0:
+                            cnt = (uncolored & ~mask).bit_count()
+                            room += rc if rc < cnt else cnt
+                            if room >= need:
+                                break
+                    dead = room < need
+                if not dead:
+                    stack.append((v, avail, need, bit, c, saved, touched))
                     break
-            if not dead and need:
-                # remaining class capacities must still cover the uncolored
-                # vertices, counting only vertices a class can still take:
-                # those outside the balls of its members
-                room = 0
-                for cc in range(1, k + 1):
-                    rc = caps[cc] - used[cc]
-                    if rc > 0:
-                        cnt = (uncolored & ~class_banned[cc]).bit_count()
-                        room += rc if rc < cnt else cnt
-                        if room >= need:
-                            break
-                if room < need:
-                    dead = True
-            if not dead and dfs():
-                return True
+            else:
+                # every color of v is tried: back to the vertex before it
+                uncolored ^= 1 << v
+                if not stack:
+                    return None
+                v, avail, need, bit, c, saved, touched = stack.pop()
+            # undo the assignment of c to v
             for u in touched:
                 banned[u] ^= bit
             class_banned[c] = saved
-            used[c] -= 1
+            spare[c] += 1
             unused_singletons |= bit & singleton
             colors[v] = 0
-        uncolored ^= 1 << v
-        return False
-
-    if dfs():
-        return PackingColoring(colors)
-    return None
+    return PackingColoring(colors)
 
 
 def chi_rho_exact(g: Graph, *, below: Optional[int] = None,
@@ -424,34 +427,38 @@ def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
     """Exhaustive reference solver: vertices in index order, colors tried
     ascending, pruning only on a direct conflict with an assigned vertex.
     Kept deliberately free of the main solver's ordering and bounds, and
-    of its cached distance balls: its own come from one BFS per vertex."""
+    of its cached distance balls: for each k tried, its own balls of
+    radius up to k come from one BFS per vertex.  The choices made so far
+    are its stack: colors[:v], with c the next color to try at v."""
     n = g.order
-    stamp = [-1] * n
-    near = []  # near[v][c]: the vertices within distance c of v, c <= n
-    for v in range(n):
-        ball = [1 << v]
-        for layer in bfs_layers(g, v, n, stamp):
-            ball.append(ball[-1] | sum(1 << w for w in layer))
-        near.append(ball + [ball[-1]] * (n + 1 - len(ball)))
-    if near[0][n] != (1 << n) - 1:
+    if 1 + sum(map(len, bfs_layers(g, 0, n, [-1] * n))) < n:
         raise DisconnectedGraphError("chi_rho_naive requires a connected graph")
-    colors = [0] * n
-    members = [0] * (n + 1)  # members[c]: assigned vertices colored c
-
-    def extend(v: int, k: int) -> bool:
-        if v == n:
-            return True
-        for c in range(1, k + 1):
-            if not members[c] & near[v][c]:
+    k = 0
+    while True:  # stops by k = n: n colors always suffice
+        k += 1
+        stamp = [-1] * n
+        near = []  # near[v][c]: the vertices within distance c of v
+        for v in range(n):
+            ball = [1 << v]
+            for layer in bfs_layers(g, v, k, stamp):
+                ball.append(ball[-1] | sum(1 << w for w in layer))
+            near.append(ball + [ball[-1]] * (k + 1 - len(ball)))
+        colors = [0] * n
+        members = [0] * (k + 1)  # members[c]: assigned vertices colored c
+        v, c = 0, 1
+        while 0 <= v < n:
+            while c <= k and members[c] & near[v][c]:
+                c += 1
+            if c <= k:
                 colors[v] = c
                 members[c] |= 1 << v
-                if extend(v + 1, k):
-                    return True
-                members[c] ^= 1 << v
-                colors[v] = 0
-        return False
-
-    k = 1
-    while not extend(0, k):  # stops by k = n: n colors always suffice
-        k += 1
-    return k, PackingColoring(colors)
+                v, c = v + 1, 1
+            else:  # back to the vertex before, at its next color
+                v -= 1
+                if v >= 0:
+                    c = colors[v]
+                    members[c] ^= 1 << v
+                    colors[v] = 0
+                    c += 1
+        if v == n:
+            return k, PackingColoring(colors)

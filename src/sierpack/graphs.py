@@ -7,15 +7,14 @@ functions of their inputs.  The per-graph record behind ``distances``
 the solver: it is cached and shared between structurally equal graphs, so
 each ``Balls`` grows its rows under its own lock.  All other distances
 come from ``bfs_layers``, in O(n) memory.
-max_packing checks its order (check_exact_order) before any balls are built,
-and its clique-cover search the recursion room (check_recursion_room)
-before its first branch.
+max_packing checks its order (check_exact_order) before any balls are built.
+No search here recurses: the clique-cover search keeps its path on an
+explicit stack, so max_order and memory alone bound the orders it takes.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -291,16 +290,6 @@ def check_exact_order(n: int, max_order: int) -> None:
             f"order {n} exceeds exact-search bound {max_order}")
 
 
-def check_recursion_room(n: int, what: str = "order") -> None:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    # frames left to the callers: those in use plus 20, at least 100
-    limit = sys.getrecursionlimit() - max(100, depth + 20)
-    if n > limit:
-        raise GraphTooLargeError(f"{what} {n} exceeds recursion bound {limit}")
-
-
 def max_packing(g: Graph, i: int,
                 max_order: int = DEFAULT_SOLVER_BOUND) -> int:
     """Exact size of a largest i-packing: a set of vertices with pairwise
@@ -357,19 +346,20 @@ def _max_packing_search(conflict: tuple[int, ...],
     first and cuts once size plus the clique count left cannot beat the
     best.
 
-    The search recurses once per vertex in the set, so the root cover's
-    clique count is checked against the recursion room
-    (check_recursion_room) first.  Each branch counts against node_budget,
-    and SearchBudgetExceeded is raised once it is passed.  max_packing and
+    The search keeps one [cover, next index, cand, chosen, size] frame per
+    vertex in the set on an explicit stack, so its depth is not bounded by
+    the recursion limit; covers hold vertex indices, not bitmasks, so the
+    stack takes O(n) words per frame.  Each branch counts against node_budget, and
+    SearchBudgetExceeded is raised once it is passed.  max_packing and
     product._min_floor read the size; coloring.chi_rho_exact reads the set
     and charges the branches to its node budget."""
     best = best_set = branches = 0
-
-    def grow(cand: int, chosen: int, size: int):
-        nonlocal best, best_set, branches
+    stack = []
+    cand, chosen, size = (1 << len(conflict)) - 1, 0, 0
+    while True:
         if size > best:
             best, best_set = size, chosen
-        cover = []  # (vertex bit, number of cliques up to its own)
+        cover = []  # (vertex, number of cliques up to its own)
         rest = cand
         cliques = 0
         while rest:
@@ -378,22 +368,30 @@ def _max_packing_search(conflict: tuple[int, ...],
             while joinable:
                 bit = joinable & -joinable
                 rest ^= bit
-                joinable &= conflict[bit.bit_length() - 1] & rest
-                cover.append((bit, cliques))
-        if not size:
-            check_recursion_room(cliques, "packing depth")
+                v = bit.bit_length() - 1
+                joinable &= conflict[v] & rest
+                cover.append((v, cliques))
         branches += 1
         if node_budget is not None and branches > node_budget:
             raise SearchBudgetExceeded(branches)
-        for bit, cliques in reversed(cover):
-            if size + cliques <= best:
-                return
-            cand ^= bit
-            grow(cand & ~conflict[bit.bit_length() - 1], chosen | bit,
-                 size + 1)
-
-    grow((1 << len(conflict)) - 1, 0, 0)
-    return best, best_set, branches
+        stack.append([cover, len(cover), cand, chosen, size])
+        # the next branch: the last untried vertex of the deepest node whose
+        # clique count left can still beat the best
+        while stack:
+            frame = stack[-1]
+            cover, i, cand, chosen, size = frame
+            if i and size + cover[i - 1][1] > best:
+                v = cover[i - 1][0]
+                bit = 1 << v
+                cand ^= bit
+                frame[1], frame[2] = i - 1, cand
+                cand &= ~conflict[v]
+                chosen |= bit
+                size += 1
+                break
+            stack.pop()
+        else:
+            return best, best_set, branches
 
 
 # ---------------------------------------------------------------------------

@@ -104,24 +104,25 @@ def test_chirho_rejects_a_disconnected_graph_in_its_own_words(capsys,
     assert "connected" in err and "chi_rho_decision" not in err
 
 
-def test_chirho_path_past_the_recursion_limit(capsys, tmp_path):
-    # the tree greedy gives the lower bound; the decision search would
-    # recurse once per vertex
+def test_chirho_path_is_bounded_by_max_order_alone(capsys, tmp_path):
+    # the tree greedy gives the lower bound and the decision search keeps
+    # its path on an explicit stack, so 1500 vertices need no recursion
     gfile = tmp_path / "p1500.txt"
     gfile.write_text(emit_graph_text(path(1500)))
-    code = main(["chirho", str(gfile), "--max-order", "2000"])
-    assert _rejected_alone(capsys, code)
+    code, payload = _run(capsys, "chirho", str(gfile), "--max-order", "2000")
+    assert code == 0 and payload["value"] == 3
+    assert _rejected_alone(capsys, main(["chirho", str(gfile)]))
 
 
-def test_chirho_cycle_past_the_recursion_limit(capsys, tmp_path):
-    # alpha of a cycle comes from the subset search, which recurses once
-    # per vertex kept
+def test_chirho_cycle_is_bounded_by_max_order_alone(capsys, tmp_path):
+    # alpha of a cycle comes from the clique-cover search, 1200 vertices
+    # deep here, on an explicit stack
     n = 2400
     gfile = tmp_path / "c2400.txt"
     gfile.write_text(emit_graph_text(
         Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])))
-    code = main(["chirho", str(gfile), "--max-order", "3000"])
-    assert _rejected_alone(capsys, code)
+    code, payload = _run(capsys, "chirho", str(gfile), "--max-order", "3000")
+    assert code == 0 and payload["value"] == 3
 
 
 def test_schirho_reduce_on_a_path_past_the_recursion_limit(capsys):
@@ -132,6 +133,32 @@ def test_schirho_reduce_on_a_path_past_the_recursion_limit(capsys):
                  "--reduce"]) == 1
     assert "order 1050 exceeds exact-search bound 40" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "P99999999999"],
+    ["product", "--base", "P99999999999", "--fiber", "K2",
+     "--map-constant", "0"],
+])
+def test_out_of_memory_is_one_rejected_line(argv):
+    # neither command bounds the order of a shorthand; under a 300 MB
+    # address space, set in the child only, building one ends in a
+    # MemoryError, which exits 1 like any other input out of reach
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024,) * 2)
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sierpack.cli", *argv], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+        timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "rejected: out of memory\n"
 
 
 def test_schirho(capsys):

@@ -150,43 +150,69 @@ def test_exact_below_decides_only_smaller_k():
     assert chi_rho_exact(path(1)) == (1, PackingColoring((1,)))
 
 
-def test_decision_rejects_orders_past_the_recursion_limit(monkeypatch):
-    # the search recurses once per vertex; the bound follows the limit
-    # and leaves room for the callers, so the largest order it lets
-    # through is solved
-    def no_balls(g):
-        raise AssertionError("distance balls built")
-    limit = sys.getrecursionlimit() - 100
-    assert chi_rho_exact(path(limit), max_order=limit + 1)[0] == 3
-    with monkeypatch.context() as m:
-        m.setattr("sierpack.coloring.distances", no_balls)
-        with pytest.raises(GraphTooLargeError, match="recursion bound"):
-            chi_rho_decision(path(limit + 1), 3, max_order=limit + 1)
-    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 150)
-    with pytest.raises(GraphTooLargeError,
-                       match="order 51 exceeds recursion bound 50"):
-        chi_rho_decision(path(51), 3, max_order=100)
-    assert chi_rho_decision(path(50), 3, max_order=100) is not None
+def test_decision_takes_orders_past_the_recursion_limit():
+    # the decision search keeps one frame per colored vertex on an explicit
+    # stack, and the joint packing search one per vertex packed, so only
+    # max_order bounds them: K_{2,1000}'s joint search packs 1001 vertices
+    n = sys.getrecursionlimit() + 100
+    assert chi_rho_exact(path(n), max_order=n)[0] == 3
+    k2 = Graph.from_edges(1002, [(a, b) for a in (0, 1)
+                                 for b in range(2, 1002)])
+    value, witness = chi_rho_exact(k2, max_order=1002)
+    assert value == 3 and verify_packing_coloring(k2, witness).ok
+    with pytest.raises(GraphTooLargeError, match="exceeds exact-search"):
+        chi_rho_decision(path(n + 1), 3, max_order=n)
 
 
-def test_recursion_bound_counts_the_frames_in_use():
-    # a caller already 300 frames deep gets GraphTooLargeError from both
-    # recursive searches, not a RecursionError: the bound leaves the frames
-    # in use plus 20 to the callers, not a flat 100
+def test_searches_answer_under_a_deep_caller():
+    # a caller already 300 frames deep under a limit of 1000 gets answers
+    # from both searches on 850 vertices: neither uses a frame per vertex
     def deep(frames, call):
         return call() if frames == 0 else deep(frames - 1, call)
 
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        with pytest.raises(GraphTooLargeError, match="order 850 exceeds"):
-            deep(300, lambda: chi_rho_decision(path(850), 3, max_order=900))
-        with pytest.raises(GraphTooLargeError,
-                           match="packing depth 850 exceeds"):
-            deep(300, lambda: max_packing(Graph.from_edges(850, []), 1,
-                                          max_order=900))
+        witness = deep(300, lambda: chi_rho_decision(path(850), 3,
+                                                     max_order=900))
+        alpha = deep(300, lambda: max_packing(Graph.from_edges(850, []), 1,
+                                              max_order=900))
     finally:
         sys.setrecursionlimit(old)
+    assert witness is not None and verify_packing_coloring(path(850),
+                                                           witness).ok
+    assert alpha == 850
+
+
+def _s5_s5(image):
+    return sierpinski_product(star(5), star(5), VertexMap(6, 6, image)).graph
+
+
+def _tree40():
+    base = Graph.from_edges(5, [(0, 3), (1, 2), (2, 3), (3, 4)])
+    fiber = Graph.from_edges(8, [(0, 3), (1, 2), (1, 5), (2, 3), (2, 4),
+                                 (2, 6), (3, 7)])
+    return sierpinski_product(base, fiber,
+                              VertexMap(5, 8, (3, 0, 7, 2, 4))).graph
+
+
+@pytest.mark.parametrize("build, k, nodes, sat", [
+    (lambda: _s5_s5((0, 1, 1, 1, 1, 1)), 6, 447, False),
+    (lambda: _s5_s5((0, 0, 0, 0, 0, 0)), 6, 1_067, False),
+    (_tree40, 5, 40, True),
+    (lambda: corona(path(11), 2), 4, 78, False),
+    (lambda: corona(path(11), 2), 5, 242, True),
+], ids=["s5s5-01111", "s5s5-00000", "tree40", "corona11-k4", "corona11-k5"])
+def test_decision_search_tree_is_pinned(build, k, nodes, sat):
+    # the exact node count of each search: a budget of that many passes
+    # and one fewer does not, so any change to the branching shows here
+    g = build()
+    witness = chi_rho_decision(g, k, node_budget=nodes)
+    assert (witness is not None) == sat
+    if sat:
+        assert witness.k <= k and verify_packing_coloring(g, witness).ok
+    with pytest.raises(SearchBudgetExceeded):
+        chi_rho_decision(g, k, node_budget=nodes - 1)
 
 
 def test_budget_is_distinct_from_unsat():
@@ -203,6 +229,14 @@ def test_joint_packing_search_counts_against_the_node_budget():
         chi_rho_exact(g, node_budget=6)
     assert info.value.nodes == 7
     assert chi_rho_exact(g, node_budget=7)[0] == 5
+    # beta_2 of K5 (x)_id K5 is 10, found in 11 branches, and the value
+    # 2 + 25 - 10 needs no decision
+    g = sierpinski_product(complete(5), complete(5),
+                           VertexMap(5, 5, tuple(range(5)))).graph
+    with pytest.raises(SearchBudgetExceeded) as info:
+        chi_rho_exact(g, node_budget=10)
+    assert info.value.nodes == 11
+    assert chi_rho_exact(g, node_budget=11)[0] == 17
 
 
 def test_exact_examples():
@@ -415,6 +449,11 @@ def test_naive_agrees_on_small_graphs():
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
         assert chi_rho_exact(g)[0] == chi_rho_naive(g)[0]
+
+
+def test_naive_takes_orders_past_the_recursion_limit():
+    # its choices are its stack, and its balls reach only as far as k
+    assert chi_rho_naive(path(1200))[0] == 3
 
 
 def test_naive_reads_no_cached_balls(monkeypatch):

@@ -10,12 +10,14 @@ import pytest
 from sierpack import graphs
 from sierpack.coloring import (chi_rho_decision, chi_rho_exact,
                                chi_rho_lower_bound)
-from sierpack.errors import GraphTooLargeError, NotATreeError
-from sierpack.graphs import (Balls, Graph, bfs_layers, complete, corona,
-                             diameter, distances, free_trees, is_connected,
-                             is_tree, max_packing, path, random_tree,
-                             reachable, star, tree_canonical_form,
-                             tree_centers, tree_iso_map, tree_isomorphic)
+from sierpack.errors import (GraphTooLargeError, NotATreeError,
+                             SearchBudgetExceeded)
+from sierpack.graphs import (Balls, Graph, _max_packing_search, bfs_layers,
+                             complete, corona, diameter, distances,
+                             free_trees, is_connected, is_tree, max_packing,
+                             path, random_tree, reachable, star,
+                             tree_canonical_form, tree_centers, tree_iso_map,
+                             tree_isomorphic)
 from sierpack.product import VertexMap, sierpinski_product
 
 INF = math.inf
@@ -254,14 +256,32 @@ def test_exact_search_bound():
     assert max_packing(path(41), 1, max_order=50) == 21
 
 
-def test_subset_search_rejects_orders_past_the_recursion_limit():
-    # the subset search recurses once per vertex kept, so on an edgeless
-    # graph once per vertex; the tree greedy does not recurse
-    n = sys.getrecursionlimit() - 100
+def test_subset_search_takes_orders_past_the_recursion_limit():
+    # the clique-cover search keeps one frame per vertex kept, on an
+    # edgeless graph one per vertex, on an explicit stack; the tree greedy
+    # does not search
+    n = sys.getrecursionlimit() + 100
     assert max_packing(Graph.from_edges(n, []), 1, max_order=n) == n
-    with pytest.raises(GraphTooLargeError, match="recursion bound"):
-        max_packing(Graph.from_edges(n + 1, []), 1, max_order=n + 1)
     assert max_packing(path(3 * n), 2, max_order=3 * n) == n
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+@pytest.mark.parametrize("g, i, size, branches", [
+    (_cycle(56), 1, 28, 29),
+    (sierpinski_product(_cycle(7), _cycle(7),
+                        VertexMap(7, 7, tuple(range(7)))).graph, 2, 14,
+     2_025),
+], ids=["C56-alpha1", "C7xC7-alpha2"])
+def test_subset_search_tree_is_pinned(g, i, size, branches):
+    # the exact branch count of each search: a budget of that many passes
+    # and one fewer does not, so any change to the branching shows here
+    conflict = distances(g).within(i)
+    assert _max_packing_search(conflict, branches)[::2] == (size, branches)
+    with pytest.raises(SearchBudgetExceeded):
+        _max_packing_search(conflict, branches - 1)
 
 
 def test_is_tree():
