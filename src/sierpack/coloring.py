@@ -368,20 +368,16 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
     c and never the color it was last evicted from, and those vertices
     lose their colors and queue up behind the dropped ones, in index
     order.  Each class stays a c-packing at every step, so a coloring
-    returned is valid.  With no evictions this is the plain repair.  Ball
-    rows are grown only for the colors in use."""
+    returned is valid.  With no evictions this is the plain repair."""
     balls = distances(g)
-    within = balls.within
     members = [0] * (cap + 1)  # members[c]: the vertices colored c so far
-    near: list = [None] * (cap + 1)  # within(c), fetched when c comes in use
+    near = [None] + [balls.within(c) for c in range(1, cap + 1)]
     colors = [0] * g.order
     evicted_from = [0] * g.order  # the color each vertex last lost
     dropped = deque()
     for v in balls.degree_order:
         c = start[v]
-        if 0 < c <= cap and not (members[c] and members[c] & near[c][v]):
-            if not members[c]:
-                near[c] = within(c)
+        if 0 < c <= cap and not members[c] & near[c][v]:
             members[c] |= 1 << v
             colors[v] = c
         else:
@@ -389,10 +385,9 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
     while dropped:
         v = dropped.popleft()
         c = 1
-        while c <= cap and members[c] and members[c] & near[c][v]:
+        while c <= cap and members[c] & near[c][v]:
             c += 1
         if c > cap:
-            # every class 1..cap is in use, so every near[c] is fetched
             if not evictions:
                 return None
             evictions -= 1
@@ -413,8 +408,6 @@ def repair_coloring(g: Graph, start: Sequence[int], cap: int,
                 colors[u] = 0
                 evicted_from[u] = c
                 dropped.append(u)
-        elif not members[c]:
-            near[c] = within(c)
         members[c] |= 1 << v
         colors[v] = c
     return PackingColoring(colors)

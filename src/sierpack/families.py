@@ -343,51 +343,48 @@ def _star_path_min(prod: ProductGraph) -> PackingColoring:
 def _star_path_max(prod: ProductGraph) -> PackingColoring:
     """A coloring of K_{1,m} (x)_f P_n with at most 7 colors, for any map f.
 
-    When every leaf fiber hangs from a path endpoint the hub path takes the
-    pattern 2,4,3,5,2,6,3,7 and each pendant path takes 1,2,1,3,... or
-    1,3,1,2,... depending on the color at its attachment.  When fibers
-    attach at an interior path vertex both stubs of the fiber are colored
-    around the connecting vertex, and the hub path switches to the palette
-    {1,4,5,6,7} so that interior attachments stay legal; hub vertices
-    carrying three or more fibers must then take a high color, and inputs
-    too dense for that raise ConstructionOutOfRange.
-    """
+    With p = f(0) a path end, the hub path takes 2,4,3,5,2,6,3,7; otherwise
+    _hub_path_colors gives it colors from {1,4,5,6,7}, a high one under each
+    hub vertex that carries three or more fibers (ConstructionOutOfRange
+    when it finds none).  One rule colors every leaf fiber: its vertex h
+    takes (hi if h > p else lo)[|h - p| mod 4].  Under the end pattern
+    lo = hi = 1,3,1,2 below a 2, else 1,2,1,3.  Under the palette lo, hi =
+    1,3,1,2 and 1,2,1,3 below a high color; below a 1, lo = hi = 2,1,3,1
+    for its first fiber and 3,1,2,1 for each later one."""
     g, f = prod.graph, prod.vmap
     m, n = prod.base.order - 1, prod.fiber.order
     p = f(0)
+    endpoint = p in (0, n - 1)
+    if endpoint:
+        hub = [(2, 4, 3, 5, 2, 6, 3, 7)[h % 8] for h in range(n)]
+    else:
+        loads = Counter(f(i) for i in range(1, m + 1))
+        hub = _hub_path_colors(n, {h for h, c in loads.items() if c >= 3})
     colors = [0] * g.order
-    if p == 0 or p == n - 1:
-        hub_cycle = (2, 4, 3, 5, 2, 6, 3, 7)
-        for h in range(n):
-            colors[prod.vertex_of(0, h)] = hub_cycle[h % 8]
-        for i in range(1, m + 1):
-            at_color = hub_cycle[f(i) % 8]
-            pat = (1, 3, 1, 2) if at_color == 2 else (1, 2, 1, 3)
-            for h in range(n):
-                colors[prod.vertex_of(i, h)] = pat[abs(h - p) % 4]
-        return _checked(g, colors, "star-path-max-endpoint")
-
-    loads = Counter(f(i) for i in range(1, m + 1))
-    heavy = {h for h, c in loads.items() if c >= 3}
-    hub = _hub_path_colors(n, heavy)
     for h in range(n):
         colors[prod.vertex_of(0, h)] = hub[h]
-    rank: Counter = Counter()
+    under_one = set()  # the hub 1s that already carry a fiber
     for i in range(1, m + 1):
         w = f(i)
-        if hub[w] != 1:
-            _fill_interior_fiber(colors, prod, i, p, n, "A")
+        if endpoint:
+            lo = hi = (1, 3, 1, 2) if hub[w] == 2 else (1, 2, 1, 3)
+        elif hub[w] != 1:
+            lo, hi = (1, 3, 1, 2), (1, 2, 1, 3)
         else:
-            variant = "B" if rank[w] == 0 else "C"
-            rank[w] += 1
-            _fill_interior_fiber(colors, prod, i, p, n, variant)
-    return _checked(g, colors, "star-path-max-interior")
+            lo = hi = (3, 1, 2, 1) if w in under_one else (2, 1, 3, 1)
+            under_one.add(w)
+        for h in range(n):
+            colors[prod.vertex_of(i, h)] = (hi if h > p else lo)[abs(h - p) % 4]
+    return _checked(g, colors, "star-path-max")
 
 
 def _hub_path_colors(n: int, heavy: set[int]) -> list[int]:
     """Colors for the hub path from the palette {1,4,5,6,7}: no adjacent 1s,
     each high color more than its own value apart, high colors at every
     heavy position."""
+    # Not a shortcut of the search below, which gives other colors (n = 10,
+    # heavy {0}: 4,1,5,1,6,1,4,1,5,1 where this gives 4,1,5,1,6,1,7,1,4,1):
+    # on same-parity inputs the cycle 4,5,6,7 defines the construction.
     for phase in (0, 1):
         if all(h % 2 == phase for h in heavy):
             bigs = itertools.cycle((4, 5, 6, 7))
@@ -425,19 +422,6 @@ def _hub_path_colors(n: int, heavy: set[int]) -> list[int]:
         else:
             raise ConstructionOutOfRange(
                 "attachments too dense for the {1,4,5,6,7} hub palette")
-
-
-def _fill_interior_fiber(colors: list[int], prod: ProductGraph, i: int,
-                         p: int, n: int, variant: str) -> None:
-    # A hangs from a high hub color: connecting vertex 1, stubs 2,1,3,1 and
-    # 3,1,2,1.  B and C hang from a hub 1: connecting vertex 2 (resp. 3),
-    # both stubs 1 at odd offsets and 3/2 (resp. 2/3) at even offsets.
-    for h in range(n):
-        if variant == "A":
-            pattern = (1, 2, 1, 3) if h > p else (1, 3, 1, 2)
-        else:
-            pattern = (2, 1, 3, 1) if variant == "B" else (3, 1, 2, 1)
-        colors[prod.vertex_of(i, h)] = pattern[abs(h - p) % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +487,16 @@ def _path_star_max(prod: ProductGraph, cyclic: bool) -> PackingColoring:
         raise ConstructionOutOfRange(
             f"path of {len(q)} vertices exceeds the {len(PATH_STAR_SPINE_PATTERN)}"
             " entry pattern; pass cyclic=True (--cyclic) to wrap it")
-    colors = [0] * g.order
-    on_q = set(q)
+    colors = [1 if g.degree(v) == 1 else 2 for v in range(g.order)]
     for pos, v in enumerate(q):
         colors[v] = PATH_STAR_SPINE_PATTERN[pos % len(PATH_STAR_SPINE_PATTERN)]
-    for v in range(g.order):
-        if v in on_q:
-            continue
-        colors[v] = 1 if g.degree(v) == 1 else 2
-    col = PackingColoring(colors)
-    res = verify_packing_coloring(g, col)
-    if not res.ok:
-        if len(q) > len(PATH_STAR_SPINE_PATTERN):
-            raise ConstructionOutOfRange(
-                f"cyclic extension of the pattern fails at {res.violation}")
-        raise ConstructionError(f"path-star-max violates packing contract "
-                                f"at {res.violation}")
-    return col
+    try:
+        return _checked(g, colors, "path-star-max")
+    except ConstructionError as exc:
+        if len(q) <= len(PATH_STAR_SPINE_PATTERN):
+            raise
+        raise ConstructionOutOfRange("cyclic extension of the pattern fails "
+                                     + str(exc).partition(" contract ")[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from sierpack import families
 from sierpack.coloring import verify_packing_coloring
-from sierpack.errors import ConstructionOutOfRange
+from sierpack.errors import ConstructionError, ConstructionOutOfRange
 from sierpack.families import (FAMILIES, SpineDecomposition,
                                _hub_path_colors, color_class_T,
                                complete_pair_value, corona_table_value,
@@ -337,6 +339,21 @@ def test_path_star_pattern_range():
     col = _construct("path-star", 40, 3, "max", f, cyclic=True)
     prod = sierpinski_product(path(40), star(3), f)
     assert verify_packing_coloring(prod.graph, col).ok
+
+
+def test_path_star_pattern_failure_past_its_length_is_out_of_range(
+        monkeypatch):
+    # a pattern with two 7s at distance 7: on a spine path within its
+    # length that is an internal bug, past it the input is out of range
+    monkeypatch.setattr(families, "PATH_STAR_SPINE_PATTERN",
+                        (3, 4, 5, 6, 7, 8, 9) * 9 + (3,))
+    rng = random.Random(36)
+    for m, error in ((10, ConstructionError), (70, ConstructionOutOfRange)):
+        f = VertexMap(m, 4, tuple(rng.randrange(4) for _ in range(m)))
+        with pytest.raises(error) as exc:
+            _construct("path-star", m, 3, "max", f, cyclic=True)
+    assert re.fullmatch(r"cyclic extension of the pattern fails at "
+                        r"\(\d+, \d+, \d+\)", str(exc.value))
 
 
 def test_star_star_min():

@@ -703,6 +703,29 @@ def test_max_screen_repairs_witnesses_before_deciding(monkeypatch, g, h,
     assert len(seen) <= most
 
 
+def test_max_run_solves_and_repairs_are_pinned(monkeypatch):
+    # unreduced P5 x P5 max: (solves, repairs, failed repairs), as counted
+    # when repair_coloring still fetched each ball row on its first use
+    counts = [0, 0, 0]
+    repair, exact = product.repair_coloring, product.chi_rho_exact
+
+    def repairing(*args, **kwargs):
+        got = repair(*args, **kwargs)
+        counts[1] += 1
+        counts[2] += got is None
+        return got
+
+    def solving(*args, **kwargs):
+        counts[0] += 1
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(product, "repair_coloring", repairing)
+    monkeypatch.setattr(product, "chi_rho_exact", solving)
+    result = sierpinski_chi(path(5), path(5), "max")
+    assert result.complete and result.value == 5
+    assert counts == [8, 912, 101]
+
+
 if given is not None:
     @st.composite
     def _connected_graphs(draw):
