@@ -3,6 +3,12 @@
 Canonical format, byte-exact: first line ``"n m"``, then m lines ``"u v"``
 with 0 <= u < v < n, edges in lexicographic order, every line terminated by
 a single newline.  parse and emit are mutually inverse on canonical files.
+
+parse_graph_text takes the edges in any order.  It checks the header, then
+each edge line in turn, appending it straight into per-vertex neighbor
+lists, and reports the first bad line; a duplicate edge is looked for per
+vertex only after the last line.  The lists it returns are sorted,
+symmetric and in range, so the graph skips re-validation.
 """
 
 from __future__ import annotations
@@ -34,21 +40,22 @@ def parse_graph_text(text: str) -> Graph:
         raise InputFormatError(f"bad counts in header {lines[0]!r}")
     if len(lines) - 1 != m:
         raise InputFormatError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            a, b = ln.split()
+            u, v = int(a), int(b)
+        except ValueError:  # not two fields, or not integers
             raise InputFormatError(f"malformed edge line {ln!r}") from None
         if not (0 <= u < v < n):
             raise InputFormatError(f"edge {u} {v} violates 0 <= u < v < {n}")
-        edges.append((u, v))
-    if len(set(edges)) != len(edges):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for vs in nbrs:
+        vs.sort()
+    if sum(map(len, map(set, nbrs))) != 2 * m:
         raise InputFormatError("duplicate edge in graph text")
-    return Graph.from_edges(n, edges)
+    return Graph._trusted(n, tuple(map(tuple, nbrs)))
 
 
 def parse_graph6(line: str) -> Graph:

@@ -57,8 +57,8 @@ class Graph:
     @classmethod
     def _trusted(cls, order: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
         """A graph from adjacency lists the caller guarantees valid, built
-        without __post_init__'s checks (for from_edges and for products of
-        validated factors)."""
+        without __post_init__'s checks (for from_edges, parsed text, the
+        fibers recognition cuts and products of validated factors)."""
         g = object.__new__(cls)
         object.__setattr__(g, "order", order)
         object.__setattr__(g, "adj", adj)
@@ -267,11 +267,19 @@ def diameter(g: Graph) -> float:
 
 
 def reachable(g: Graph, start: int = 0) -> list[int]:
-    """The vertices reachable from start, in BFS order.  O(n + m) time and
-    memory."""
+    """The vertices reachable from start, in BFS order: start, then the
+    layers of bfs_layers from it, concatenated.  One queue walk, O(n + m)
+    time and memory.  The marks are a list rather than a bytearray because
+    CPython specializes list subscripts."""
+    adj = g.adj
+    seen = [False] * g.order
+    seen[start] = True
     order = [start]
-    for layer in bfs_layers(g, start, g.order, [-1] * g.order):
-        order += layer
+    for v in order:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
     return order
 
 
@@ -514,11 +522,10 @@ def _pair_rooted(t1: Labelled, r1: int, t2: Labelled, r2: int,
     if t1[0][r1] != t2[0][r2]:
         return False
     kids1, kids2 = t1[1], t2[1]
-    stack = [(r1, r2)]
-    while stack:
-        a, b = stack.pop()
+    pairs = [(r1, r2)]
+    for a, b in pairs:
         img[a] = b
-        stack.extend(zip(kids1[a], kids2[b]))
+        pairs += zip(kids1[a], kids2[b])
     return True
 
 

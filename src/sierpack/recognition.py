@@ -113,17 +113,16 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
         return fiber_at[r]
 
     img = [-1] * x.order  # φ_owner(v)(v), -1 until φ_owner(v) is chosen
+    centers = _centers(fiber.adj)
 
     def free(i: int) -> bool:
         # φ_i unconstrained: component i rooted at its least center, the
         # fiber at its first center that matches
         comp = comps[i]
-        index = {v: j for j, v in enumerate(comp)}
-        local = [[index[w] for w in x.adj[v] if owner[w] == i] for v in comp]
-        r = comp[_centers(local)[0]]
+        r = comp[_centers(_local_adj(x.adj, comp, owner, i))[0]]
         t = _ahu_labels(x.adj, r, table, owner, i)
         return any(_pair_rooted(t, r, rooted_fiber(c), c, img)
-                   for c in _centers(fiber.adj))
+                   for c in centers)
 
     fval: list[Optional[int]] = [None] * k
     if not free(k - 1):
@@ -287,9 +286,19 @@ def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
     owner = trace.owner
     base = Graph.from_edges(n1, [(i, owner[far])
                                  for i, (_, far) in enumerate(trace.links)])
-    fiber = x.induced([v for v, i in enumerate(owner) if i == 0])
+    comp = [v for v, i in enumerate(owner) if i == 0]
+    fiber = Graph._trusted(len(comp), tuple(map(tuple, _local_adj(
+        x.adj, comp, owner, 0))))
     try:
         vmap = reconstruct_map(trace, base, fiber)
     except InconsistentTraceError as exc:
         return None, f"map reconstruction failed: {exc}"
     return Factorization(base, fiber, vmap, trace), "ok"
+
+
+def _local_adj(adj, comp: list[int], owner, i: int) -> list[list[int]]:
+    """Neighbor lists of the sorted vertices comp, all with owner i, among
+    themselves, relabelled 0..len(comp)-1 in order.  They come out sorted,
+    as adj's are and the relabelling increases."""
+    index = {v: k for k, v in enumerate(comp)}
+    return [[index[w] for w in adj[v] if owner[w] == i] for v in comp]

@@ -547,6 +547,9 @@ def _recognize_inputs():
     rng = random.Random(11)
     t8, t9 = random_tree(8, rng), random_tree(9, rng)
     f = VertexMap(8, 9, tuple(rng.randrange(9) for _ in range(8)))
+    rng = random.Random(20)
+    t20, t40 = random_tree(20, rng), random_tree(40, rng)
+    f2 = VertexMap(20, 40, tuple(rng.randrange(40) for _ in range(20)))
     return {
         "P12xP16": sierpinski_product(path(12), path(16),
                                       path_path_min_map(12, 16)[0]).graph,
@@ -557,6 +560,12 @@ def _recognize_inputs():
         "T8xT9-shuffled": shuffled(sierpinski_product(t8, t9, f).graph, 12),
         "P40xP50-relabelled": shuffled(sierpinski_product(
             path(40), path(50), path_path_min_map(40, 50)[0]).graph, 46),
+        # order 800 with many distinct map values, so many fiber roots
+        "T20xT40-shuffled": shuffled(sierpinski_product(t20, t40, f2).graph,
+                                     21),
+        # every split of order 144 factors
+        "P12xP12": sierpinski_product(path(12), path(12),
+                                      path_path_min_map(12, 12)[0]).graph,
     }
 
 

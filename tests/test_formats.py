@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sierpack.errors import InputFormatError
@@ -30,6 +32,26 @@ def test_emit_parse_idempotent():
 ])
 def test_parse_errors(text):
     with pytest.raises(InputFormatError):
+        parse_graph_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph text"),
+    ("3\n", "malformed header '3', want 'n m'"),
+    ("3 x\n", "malformed header '3 x'"),
+    ("0 0\n", "bad counts in header '0 0'"),
+    ("3 2\n0 1\n", "header promises 2 edges, found 1"),
+    ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+    ("3 1\n0 a\n", "malformed edge line '0 a'"),
+    ("3 1\n1 0\n", "edge 1 0 violates 0 <= u < v < 3"),
+    ("3 2\n0 1\n0 1\n", "duplicate edge in graph text"),
+    # edge lines are checked in order, so the first bad line speaks
+    ("3 2\n0 5\n0 x\n", "edge 0 5 violates 0 <= u < v < 3"),
+    # duplicates are looked for only after every line has been checked
+    ("3 3\n0 1\n0 1\n1 9\n", "edge 1 9 violates 0 <= u < v < 3"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
         parse_graph_text(text)
 
 

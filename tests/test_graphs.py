@@ -410,8 +410,8 @@ def test_reachable_in_bfs_order():
 
 
 def _queue_bfs(g, start):
-    # the plain queue loop reachable replaced; max_packing's tree greedy
-    # depends on this exact order
+    # an independent queue loop; max_packing's tree greedy depends on this
+    # exact order
     seen = bytearray(g.order)
     seen[start] = 1
     order = [start]
@@ -447,6 +447,21 @@ def test_bfs_layers_are_the_distance_classes():
             want = [sorted(v for v, d in dist.items() if d == r)
                     for r in range(1, min(depth, max(dist.values())) + 1)]
             assert [sorted(layer) for layer in layers] == want
+
+
+def test_reachable_is_the_concatenated_bfs_layers():
+    # the order Balls.bfs keeps and the Meir-Moon greedy in max_packing reads
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(200):
+        g = _random_graph(rng.randint(1, 14), rng.choice((0.1, 0.2, 0.4)), rng)
+        stamp = [-1] * g.order
+        for source in range(g.order):
+            layers = bfs_layers(g, source, g.order, stamp)
+            assert reachable(g, source) == \
+                [source] + [v for layer in layers for v in layer]
+        seen.add(is_connected(g))
+    assert seen == {True, False}
 
 
 def _reference_canon(g, root, parent=-1):
