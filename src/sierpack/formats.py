@@ -40,7 +40,9 @@ def parse_graph_text(text: str) -> Graph:
         raise InputFormatError(f"bad counts in header {lines[0]!r}")
     if len(lines) - 1 != m:
         raise InputFormatError(f"header promises {m} edges, found {len(lines) - 1}")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    # grown to the largest vertex named so far and padded to n at the end,
+    # so a header n far past the edges costs nothing before a bad line
+    nbrs: list[list[int]] = []
     for ln in lines[1:]:
         try:
             a, b = ln.split()
@@ -49,12 +51,15 @@ def parse_graph_text(text: str) -> Graph:
             raise InputFormatError(f"malformed edge line {ln!r}") from None
         if not (0 <= u < v < n):
             raise InputFormatError(f"edge {u} {v} violates 0 <= u < v < {n}")
+        if v >= len(nbrs):
+            nbrs += ([] for _ in range(v + 1 - len(nbrs)))
         nbrs[u].append(v)
         nbrs[v].append(u)
     for vs in nbrs:
         vs.sort()
     if sum(map(len, map(set, nbrs))) != 2 * m:
         raise InputFormatError("duplicate edge in graph text")
+    nbrs += ([] for _ in range(n - len(nbrs)))
     return Graph._trusted(n, tuple(map(tuple, nbrs)))
 
 

@@ -161,6 +161,30 @@ def test_out_of_memory_is_one_rejected_line(argv):
     assert proc.stderr == "rejected: out of memory\n"
 
 
+def test_a_bad_edge_line_is_reported_whatever_order_the_header_gives(
+        tmp_path):
+    # the parser allocates no neighbor list for a vertex no line has named
+    # yet, so under the same 300 MB cap a header of 10^11 vertices still
+    # ends at its malformed edge line, exit 2
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024,) * 2)
+
+    gfile = tmp_path / "huge.txt"
+    gfile.write_text("99999999999 2\n0 1\n0 x\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sierpack.cli", "recognize", str(gfile)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: malformed edge line '0 x'\n"
+
+
 def test_schirho(capsys):
     code, payload = _run(capsys, "schirho", "--base", "K3", "--fiber", "K3",
                          "--mode", "min")
