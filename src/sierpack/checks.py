@@ -427,18 +427,8 @@ def run_check(criterion: int, scale: str = "full") -> CheckResult:
     raise ValueError(f"no check numbered {criterion}")
 
 
-def run_all(scale: str = "full", jobs: int = 1) -> list[CheckResult]:
-    numbers = [num for num, _, _ in CHECKS]
-    if jobs <= 1:
-        return [run_check(num, scale) for num in numbers]
-    from concurrent.futures import ProcessPoolExecutor
-    # the pool starts all its workers up front: no more than there are checks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(numbers))) as pool:
-        return list(pool.map(_run_one, [(num, scale) for num in numbers]))
-
-
-def _run_one(arg: tuple[int, str]) -> CheckResult:
-    return run_check(*arg)
+def run_all(scale: str = "full") -> list[CheckResult]:
+    return [run_check(num, scale) for num, _, _ in CHECKS]
 
 
 def report_json(results: list[CheckResult], scale: str) -> dict:

@@ -262,7 +262,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    results = checks.run_all(args.scale, jobs=_positive(args.jobs, "--jobs"))
+    results = checks.run_all(args.scale)
     payload = checks.report_json(results, args.scale)
     _emit(payload, args.json)
     return EXIT_OK if payload["summary"]["fail"] == 0 else EXIT_DOMAIN
@@ -339,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recompute every published value and report "
                             "pass/fail/discrepancy per criterion")
     p.add_argument("--scale", choices=checks.SCALES, default="desk")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", help="also write the report here")
     p.set_defaults(fn=_cmd_verify_paper)
     return parser

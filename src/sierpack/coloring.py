@@ -53,7 +53,8 @@ The main solver, the repair and the class capacities read the graph's
 cached record (graphs.distances): its distance balls, its capacities and
 the static and repair orders, each sorted once per graph.  chi_rho_naive
 and the certificate check, verify_packing_coloring, search with
-graphs.bfs_layers and share no state with them.
+graphs.bfs_layers (chi_rho_naive tests connectivity with
+graphs.is_connected) and share no state with them.
 packing_capacity, chi_rho_decision and chi_rho_exact check the order before
 any balls are built, and chi_rho_exact the connectivity before any search.
 No search here recurses: the decision search keeps one frame per colored
@@ -70,7 +71,8 @@ from typing import Optional, Sequence
 from .errors import (ColoringCoverageError, DisconnectedGraphError,
                      SearchBudgetExceeded)
 from .graphs import (DEFAULT_SOLVER_BOUND, Graph, _max_packing_search,
-                     bfs_layers, check_exact_order, distances, max_packing)
+                     bfs_layers, check_exact_order, distances, is_connected,
+                     max_packing)
 
 
 @dataclass(frozen=True)
@@ -424,7 +426,7 @@ def chi_rho_naive(g: Graph) -> tuple[int, PackingColoring]:
     radius up to k come from one BFS per vertex.  The choices made so far
     are its stack: colors[:v], with c the next color to try at v."""
     n = g.order
-    if 1 + sum(map(len, bfs_layers(g, 0, n, [-1] * n))) < n:
+    if not is_connected(g):
         raise DisconnectedGraphError("chi_rho_naive requires a connected graph")
     k = 0
     while True:  # stops by k = n: n colors always suffice

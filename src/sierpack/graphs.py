@@ -448,8 +448,8 @@ def tree_preorder(adj, root: int) -> tuple[list[int], list[int]]:
     On a tree every subtree is a contiguous slice of the preorder, starting
     at its root."""
     parent = [-1] * len(adj)
-    seen = bytearray(len(adj))
-    seen[root] = 1
+    seen = [False] * len(adj)
+    seen[root] = True
     order = []
     stack = [root]
     while stack:
@@ -457,7 +457,7 @@ def tree_preorder(adj, root: int) -> tuple[list[int], list[int]]:
         order.append(v)
         for w in adj[v]:
             if not seen[w]:
-                seen[w] = 1
+                seen[w] = True
                 parent[w] = v
                 stack.append(w)
     return order, parent

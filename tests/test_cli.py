@@ -385,6 +385,7 @@ def test_verify_paper_desk(capsys, tmp_path):
     assert payload["summary"]["pass"] + payload["summary"]["discrepancy"] == 12
     stored = json.loads(report.read_text())
     assert len(stored["results"]) == 12
+    assert [r["criterion"] for r in payload["results"]] == list(range(1, 13))
     statuses = {r["criterion"]: r["status"] for r in stored["results"]}
     assert statuses[3] == "discrepancy" and statuses[4] == "discrepancy"
 
@@ -402,6 +403,18 @@ def test_graph6_with_extra_characters_exits_2(capsys, tmp_path):
     assert main(["chirho", str(gfile)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("~??~\n", "graph6 orders above 62 are not supported"),
+    ("?\n", "graph6 graph must have at least one vertex"),
+])
+def test_graph6_order_out_of_range_exits_2(capsys, tmp_path, text, message):
+    gfile = tmp_path / "g6.txt"
+    gfile.write_text(text)
+    assert main(["chirho", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_default_budget_from_environment(capsys, tmp_path, monkeypatch):
     from sierpack.graphs import corona
     gfile = tmp_path / "c62.txt"
@@ -410,45 +423,6 @@ def test_default_budget_from_environment(capsys, tmp_path, monkeypatch):
     assert main(["chirho", str(gfile)]) == 3
     monkeypatch.delenv("SIERPACK_NODE_BUDGET")
     capsys.readouterr()
-
-
-def test_verify_paper_worker_pool(capsys):
-    code, payload = _run(capsys, "verify-paper", "--scale", "desk",
-                         "--jobs", "2")
-    assert code == 0
-    criteria = [r["criterion"] for r in payload["results"]]
-    assert criteria == list(range(1, 13))  # input order, not completion order
-
-
-def test_verify_paper_pool_has_no_more_workers_than_checks(monkeypatch):
-    # the executor is a stand-in that records its size, so no large pool
-    # is ever started
-    import concurrent.futures
-
-    from sierpack import checks
-
-    sizes = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return [checks.CheckResult(num, "", "pass", 0.0)
-                    for num, _ in args]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingExecutor)
-    for jobs in (2, 12, 13, 1000):
-        results = checks.run_all("desk", jobs=jobs)
-        assert [r.criterion for r in results] == list(range(1, 13))
-    assert sizes == [2, 12, 12, 12]
 
 
 def test_commands_are_deterministic(capsys, tmp_path):
@@ -513,12 +487,35 @@ def test_unwritable_output_path_fails_before_any_work(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_path_naming_a_directory_fails_before_any_work(
+        capsys, tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the output paths were "
+                             "checked")
+
+    monkeypatch.setattr(cli, "chi_rho_exact", unreachable)
+    assert main(["chirho", "P4", "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {str(tmp_path)!r}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_graph_argument_naming_a_directory_is_malformed_input(capsys,
+                                                             tmp_path):
+    for command in ("chirho", "recognize"):
+        assert main([command, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read graph {str(tmp_path)!r}" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["schirho", "--enum-bound", "0"], "--enum-bound must be positive"),
     (["schirho", "--enum-bound", "-5"], "--enum-bound must be positive"),
     (["schirho", "--budget", "0"], "budgets must be positive"),
-    (["verify-paper", "--jobs", "0"], "--jobs must be positive"),
-    (["verify-paper", "--jobs", "-2"], "--jobs must be positive"),
+    (["chirho", "--budget", "0"], "budgets must be positive"),
+    (["schirho", "--budget", "-3"], "budgets must be positive"),
     (["schirho", "--max-order", "0"], "--max-order must be positive"),
     (["schirho", "--max-order", "-5"], "--max-order must be positive"),
     (["chirho", "--max-order", "0"], "--max-order must be positive"),

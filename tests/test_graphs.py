@@ -32,6 +32,19 @@ def test_graph_construction_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("order, adj, message", [
+    (0, (), "graph must have at least one vertex"),
+    (2, ((1,),), "adjacency length does not match order"),
+    (2, ((1, 1), (0,)), "adjacency of 0 is not a sorted set"),
+    (2, ((2,), (0,)), "neighbor 2 of 0 out of range"),
+    (1, ((0,),), "self-loop at 0"),
+    (2, ((1,), ()), "asymmetric edge 0-1"),
+])
+def test_graph_constructor_names_what_is_wrong(order, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(order, adj)
+
+
 def test_from_edges_matches_the_validating_constructor():
     for order in (0, -1):
         with pytest.raises(ValueError):

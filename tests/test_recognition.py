@@ -718,3 +718,19 @@ def test_reconstruct_map_rejects_link_endpoints_outside_the_input(link):
     bad = PeelTrace(path(4), (0, 0, 1, 1), (link,))
     with pytest.raises(InconsistentTraceError):
         reconstruct_map(bad, path(2), path(2))
+
+
+def test_reconstruct_map_rejects_components_of_the_wrong_order():
+    bad = PeelTrace(path(4), (0, 0, 0, 1), ((2, 3),))
+    with pytest.raises(InconsistentTraceError,
+                       match="components do not all have the fiber's order"):
+        reconstruct_map(bad, path(2), path(2))
+
+
+def test_reconstruct_map_rejects_a_link_into_a_fiber_peeled_earlier():
+    # link 1 leaves fiber 0 for fiber 0's own vertex 1, whose image is not
+    # chosen yet: the peel order runs the wrong way
+    bad = PeelTrace(path(6), (0, 0, 1, 1, 2, 2), ((1, 2), (0, 1)))
+    with pytest.raises(InconsistentTraceError,
+                       match="peel edge points into a fiber peeled earlier"):
+        reconstruct_map(bad, path(3), path(2))
