@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphTooLargeError, NotATreeError, SearchBudgetExceeded
 
@@ -86,7 +86,7 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -415,31 +415,44 @@ def tree_centers(g: Graph) -> list[int]:
     the tree check for every function here that takes free trees."""
     if not is_tree(g):
         raise NotATreeError("input is not a tree")
-    return _centers(g.adj)
+    return _centers(g.adj, range(g.order), bytes(g.order), 0)
 
 
-def _centers(adj) -> list[int]:
-    """tree_centers on an adjacency list already known to be a tree.  On
-    any other graph it stops once no leaf is left."""
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(nbrs) for nbrs in adj]
-    removed = [False] * n
-    leaves = [v for v in range(n) if deg[v] == 1]
-    remaining = n
+def _centers(adj, vertices, owner, i: int) -> list[int]:
+    """The centers, in vertex order, of the tree on ``vertices``: the
+    vertices v with ``owner[v] == i``, sorted, known to form a tree.
+    Leaves are peeled in place, a degree counting only neighbors with
+    owner i, so a component of a larger graph needs no relabelled copy;
+    ``range(n)`` with ``owner = bytes(n)`` and i = 0 is a whole tree.  On
+    any other graph the peeling stops once no leaf is left, and the
+    vertices not peeled are returned."""
+    if len(vertices) <= 2:
+        return list(vertices)
+    deg = {}  # in-component degree left, -1 once peeled
+    leaves = []
+    for v in vertices:
+        d = 0
+        for w in adj[v]:
+            if owner[w] == i:
+                d += 1
+        deg[v] = d
+        if d == 1:
+            leaves.append(v)
+    remaining = len(vertices)
     while remaining > 2 and leaves:
         remaining -= len(leaves)
         nxt = []
         for v in leaves:
-            removed[v] = True
+            deg[v] = -1
             for u in adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
+                # a neighbor not yet peeled still counts v: degree >= 1
+                d = deg.get(u, 0)
+                if d > 0:
+                    deg[u] = d - 1
+                    if d == 2:
                         nxt.append(u)
         leaves = nxt
-    return sorted(v for v in range(n) if not removed[v])
+    return [v for v in vertices if deg[v] >= 0]
 
 
 def tree_preorder(adj, root: int) -> tuple[list[int], list[int]]:
@@ -477,40 +490,54 @@ def _rooted_canon(g: Graph, root: int) -> str:
 
 
 # a rooted tree's AHU labels and, per vertex, its children sorted by
-# (label, vertex)
-Labelled = tuple[dict[int, int], dict[int, list[int]]]
+# (label, vertex): two lists indexed by vertex.  A children entry is None
+# at a vertex not reached, and () once _pair_rooted has walked it.
+Labelled = tuple[list[int], list[Optional[Sequence[int]]]]
 
 
-def _ahu_labels(adj, root: int, table: dict, owner, i: int) -> Labelled:
+def _unlabelled(n: int) -> Labelled:
+    """Empty label and children lists for the vertices 0..n-1."""
+    return [0] * n, [None] * n
+
+
+def _ahu_labels(adj, root: int, table: dict, owner, i: int,
+                t: Labelled) -> Labelled:
     """Integer AHU labels (Aho, Hopcroft and Ullman 1974) of the tree on
     the vertices v with ``owner[v] == i`` reached from root, rooted there
-    (a BFS tree of them, should they hold a cycle).  Two rooted trees, of
-    this graph or of any other labelled with the same ``table``, get equal
-    root labels exactly when they are isomorphic, that is exactly when
-    their ``_rooted_canon`` strings are equal.  ``owner = bytes(n)`` with
-    i = 0 labels a whole tree."""
-    kids: dict[int, list[int]] = {root: []}
+    (a BFS tree of them, should they hold a cycle), written into the lists
+    of t and returned as t.  A vertex counts as reached once its children
+    list is not None, so the caller passes lists in which none of these
+    vertices is reached yet; trees on disjoint vertex sets, each labelled
+    once, can share one pair.  Two rooted trees, of this graph or of any
+    other labelled with the same ``table``, get equal root labels exactly
+    when they are isomorphic, that is exactly when their ``_rooted_canon``
+    strings are equal.  ``owner = bytes(n)`` with i = 0 labels a whole
+    tree."""
+    label, kids = t
+    kids[root] = []
     order = [root]
     for v in order:
         ch = kids[v]
         for w in adj[v]:
-            if w not in kids and owner[w] == i:
+            if kids[w] is None and owner[w] == i:
                 kids[w] = []
                 ch.append(w)
         order += ch
     leaf = table.setdefault((), len(table))
-    label: dict[int, int] = {}
+    by_label = label.__getitem__
     for v in reversed(order):
         ch = kids[v]
         if ch:
             # adjacency lists are sorted, so a stable sort by label leaves
             # children with equal labels in vertex order
-            ch.sort(key=label.__getitem__)
+            ch.sort(key=by_label)
+            # tuple() of a list: tuple(map(...)) measured slower here, with
+            # more garbage collections
             label[v] = table.setdefault(tuple([label[w] for w in ch]),
                                         len(table))
         else:
             label[v] = leaf
-    return label, kids
+    return t
 
 
 def _pair_rooted(t1: Labelled, r1: int, t2: Labelled, r2: int,
@@ -518,7 +545,10 @@ def _pair_rooted(t1: Labelled, r1: int, t2: Labelled, r2: int,
     """Write into ``img`` the rooted isomorphism (t1, r1) -> (t2, r2) read
     off AHU labels from one table; False, writing nothing, when the roots'
     labels differ.  Children with equal labels are paired in vertex order,
-    which is valid because equal labels are interchangeable."""
+    which is valid because equal labels are interchangeable.  On success
+    t1's children lists are spent: each is replaced by () as it is walked,
+    so trees labelled into shared lists hold no lists once paired, and a
+    large input's lists never pile up for the garbage collector."""
     if t1[0][r1] != t2[0][r2]:
         return False
     kids1, kids2 = t1[1], t2[1]
@@ -526,6 +556,7 @@ def _pair_rooted(t1: Labelled, r1: int, t2: Labelled, r2: int,
     for a, b in pairs:
         img[a] = b
         pairs += zip(kids1[a], kids2[b])
+        kids1[a] = ()
     return True
 
 
@@ -549,10 +580,12 @@ def tree_iso_map(t1: Graph, t2: Graph) -> Optional[dict[int, int]]:
             map(len, t1.adj)) != sorted(map(len, t2.adj)):
         return None
     table: dict = {}
-    lab1 = _ahu_labels(t1.adj, c1[0], table, bytes(t1.order), 0)
+    lab1 = _ahu_labels(t1.adj, c1[0], table, bytes(t1.order), 0,
+                       _unlabelled(t1.order))
     img = [-1] * t1.order
     for r2 in c2:
-        lab2 = _ahu_labels(t2.adj, r2, table, bytes(t2.order), 0)
+        lab2 = _ahu_labels(t2.adj, r2, table, bytes(t2.order), 0,
+                           _unlabelled(t2.order))
         if _pair_rooted(lab1, c1[0], lab2, r2, img):
             return dict(enumerate(img))
     return None

@@ -40,13 +40,17 @@ fixed for that neighbor came from a sibling copy rooted the same way, so
 every rooted isomorphism asked for exists and ψ is an isomorphism.  On a
 split for which x is not a product no ψ certifies, whatever was chosen.
 
-Cost.  One rooting per input.  A split costs O(n1) when it is rejected by
-the size counts, and otherwise O(n) for the cut and O(n log n2) for
-sorting children: no depth term.
-Each component is labelled once, rooted at a center or at its near
-endpoint, in one AHU table per split (Aho, Hopcroft and Ullman 1974); the
-fiber's labellings are cached per root.  The certificate is one pass over
-the edges of x.
+Cost.  One preorder DFS per input is both the tree test (x is a tree
+exactly when it has n - 1 edges and the preorder reaches all n vertices)
+and the rooting.  A split costs O(n1) when it is rejected by the size
+counts, and otherwise O(n) for the cut and O(n log n2) for sorting
+children: no depth term.  Each component is labelled once, rooted at a
+center or at its near endpoint, in one AHU table per split (Aho, Hopcroft
+and Ullman 1974), into one pair of label and children lists of length n(x)
+that all the split's components share; the fiber's labellings are cached
+per root, each in lists of its own.  The least center of each of the two
+free components is found by peeling its leaves in place, counting only
+neighbors inside it.  The certificate is one pass over the edges of x.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Optional
 
 from .errors import InconsistentTraceError
 from .graphs import (Graph, Labelled, _ahu_labels, _centers, _pair_rooted,
-                     is_tree, tree_preorder)
+                     _unlabelled, tree_preorder)
 from .product import VertexMap
 
 
@@ -109,18 +113,21 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
 
     def rooted_fiber(r: int) -> Labelled:
         if r not in fiber_at:
-            fiber_at[r] = _ahu_labels(fiber.adj, r, table, zeros, 0)
+            fiber_at[r] = _ahu_labels(fiber.adj, r, table, zeros, 0,
+                                      _unlabelled(n2))
         return fiber_at[r]
 
     img = [-1] * x.order  # φ_owner(v)(v), -1 until φ_owner(v) is chosen
-    centers = _centers(fiber.adj)
+    # the labels of every component: the components are disjoint and each
+    # is labelled once, by free or at its near endpoint
+    t = _unlabelled(x.order)
+    centers = _centers(fiber.adj, range(n2), zeros, 0)
 
     def free(i: int) -> bool:
         # φ_i unconstrained: component i rooted at its least center, the
         # fiber at its first center that matches
-        comp = comps[i]
-        r = comp[_centers(_local_adj(x.adj, comp, owner, i))[0]]
-        t = _ahu_labels(x.adj, r, table, owner, i)
+        r = _centers(x.adj, comps[i], owner, i)[0]
+        _ahu_labels(x.adj, r, table, owner, i, t)
         return any(_pair_rooted(t, r, rooted_fiber(c), c, img)
                    for c in centers)
 
@@ -140,8 +147,8 @@ def reconstruct_map(trace: PeelTrace, base: Graph, fiber: Graph) -> VertexMap:
                     f"component of base vertex {i} is not a copy of the "
                     "fiber")
             fval[j] = img[near]
-        elif not _pair_rooted(_ahu_labels(x.adj, near, table, owner, i), near,
-                              rooted_fiber(fval[j]), fval[j], img):
+        elif not _pair_rooted(_ahu_labels(x.adj, near, table, owner, i, t),
+                              near, rooted_fiber(fval[j]), fval[j], img):
             raise InconsistentTraceError(
                 f"no fiber isomorphism sends the near endpoint of base "
                 f"vertex {i} to the already fixed value {fval[j]}")
@@ -214,7 +221,8 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
     split in diagnostics.
     """
     diagnostics: dict[str, str] = {}
-    if not is_tree(x):
+    rooting = _rooting(x)
+    if rooting is None:
         diagnostics["*"] = "not a tree, so not a product of trees"
         return RecognitionOutcome("not_a_product", [], diagnostics)
     n = x.order
@@ -225,7 +233,6 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
         return RecognitionOutcome("not_a_product", [], diagnostics)
 
     found: list[Factorization] = []
-    rooting = _rooting(x)
     for n1, n2 in splits:
         fact, reason = _try_split(x, n1, n2, rooting)
         if fact is None:
@@ -241,10 +248,16 @@ def recognize_tree_product(x: Graph) -> RecognitionOutcome:
 _Rooting = tuple[list[int], list[int], list[int], list[int]]
 
 
-def _rooting(x: Graph) -> _Rooting:
+def _rooting(x: Graph) -> Optional[_Rooting]:
     """The tree x rooted at vertex 0 by one preorder, shared by every
-    split."""
+    split, or None when x is not a tree.  The same preorder is the tree
+    test: x is a tree exactly when it has order - 1 edges and the preorder
+    reaches every vertex."""
+    if x.size != x.order - 1:
+        return None
     order, parent = tree_preorder(x.adj, 0)
+    if len(order) != x.order:
+        return None
     size = [1] * x.order
     for v in order[:0:-1]:
         size[parent[v]] += size[v]
@@ -260,7 +273,7 @@ def _peel_trace(x: Graph, n1: int, n2: int, rooting: _Rooting
     components in the same preorder pass (module docstring, "Peel order").
     Returns the trace, or None and the reason the split has none."""
     order, parent, size, count = rooting
-    cuts = sum(count[n2 * k] for k in range(1, n1))
+    cuts = sum(count[n2:n1 * n2:n2])  # count[n2 * k] for 0 < k < n1
     if cuts != n1 - 1:
         return None, (f"{cuts} edges have a side of order divisible by "
                       f"{n2}, not n1 - 1 = {n1 - 1}")
@@ -298,7 +311,7 @@ def _try_split(x: Graph, n1: int, n2: int, rooting: _Rooting
 
 def _local_adj(adj, comp: list[int], owner, i: int) -> list[list[int]]:
     """Neighbor lists of the sorted vertices comp, all with owner i, among
-    themselves, relabelled 0..len(comp)-1 in order.  They come out sorted,
-    as adj's are and the relabelling increases."""
+    themselves, relabelled 0..len(comp)-1 in order: the fiber's adjacency.
+    They come out sorted, as adj's are and the relabelling increases."""
     index = {v: k for k, v in enumerate(comp)}
     return [[index[w] for w in adj[v] if owner[w] == i] for v in comp]

@@ -4,15 +4,17 @@ from contextlib import contextmanager
 
 import pytest
 
+from sierpack import recognition
 from sierpack.errors import InconsistentTraceError
 from sierpack.families import path_path_min_map
-from sierpack.graphs import (Graph, _centers, free_trees, path, random_tree,
-                             star, tree_canonical_form, tree_iso_map,
-                             tree_isomorphic, tree_preorder)
+from sierpack.graphs import (Graph, _centers, _pair_rooted, free_trees, path,
+                             random_tree, star, tree_canonical_form,
+                             tree_centers, tree_iso_map, tree_isomorphic,
+                             tree_preorder)
 from sierpack.product import VertexMap, sierpinski_product
-from sierpack.recognition import (PeelTrace, _certify, _peel_trace, _rooting,
-                                  _try_split, recognize_tree_product,
-                                  reconstruct_map)
+from sierpack.recognition import (PeelTrace, _certify, _local_adj,
+                                  _peel_trace, _rooting, _try_split,
+                                  recognize_tree_product, reconstruct_map)
 
 
 def _components(trace):
@@ -458,7 +460,7 @@ def _old_pair_rooted(t1, r1, lab1, t2, r2, lab2):
 
 
 def _old_tree_iso_map(t1, t2):
-    c1, c2 = _centers(t1.adj), _centers(t2.adj)
+    c1, c2 = _old_centers(t1.adj), _old_centers(t2.adj)
     if t1.order != t2.order or len(c1) != len(c2):
         return None
     table = {}
@@ -734,3 +736,263 @@ def test_reconstruct_map_rejects_a_link_into_a_fiber_peeled_earlier():
     with pytest.raises(InconsistentTraceError,
                        match="peel edge points into a fiber peeled earlier"):
         reconstruct_map(bad, path(3), path(2))
+
+
+# the dict-based AHU labelling, the center search on a relabelled copy of
+# each free component, and the map reconstruction built on them, from an
+# earlier version: the oracle for the per-split label lists and the
+# in-place center search
+
+def _old_centers(adj):
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(nbrs) for nbrs in adj]
+    removed = [False] * n
+    leaves = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2 and leaves:
+        remaining -= len(leaves)
+        nxt = []
+        for v in leaves:
+            removed[v] = True
+            for u in adj[v]:
+                if not removed[u]:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        leaves = nxt
+    return sorted(v for v in range(n) if not removed[v])
+
+
+def _dict_ahu_labels(adj, root, table, owner, i):
+    kids = {root: []}
+    order = [root]
+    for v in order:
+        ch = kids[v]
+        for w in adj[v]:
+            if w not in kids and owner[w] == i:
+                kids[w] = []
+                ch.append(w)
+        order += ch
+    leaf = table.setdefault((), len(table))
+    label = {}
+    for v in reversed(order):
+        ch = kids[v]
+        if ch:
+            ch.sort(key=label.__getitem__)
+            label[v] = table.setdefault(tuple([label[w] for w in ch]),
+                                        len(table))
+        else:
+            label[v] = leaf
+    return label, kids
+
+
+def _dict_reconstruct_map(trace, base, fiber):
+    x, owner, n2 = trace.source, trace.owner, fiber.order
+    k = len(trace.links) + 1
+    if base.order != k:
+        raise InconsistentTraceError("base order does not match the trace")
+    if len(owner) != x.order or min(owner) < 0 or max(owner) >= k:
+        raise InconsistentTraceError("the owners do not number the input's "
+                                     "vertices by base vertex")
+    if not all(0 <= v < x.order for link in trace.links for v in link):
+        raise InconsistentTraceError("a link endpoint is not a vertex of "
+                                     "the input")
+    comps = [[] for _ in range(k)]
+    for v, i in enumerate(owner):
+        comps[i].append(v)
+    if any(len(comp) != n2 for comp in comps):
+        raise InconsistentTraceError("components do not all have the "
+                                     "fiber's order")
+    table = {}
+    zeros = bytes(n2)
+    fiber_at = {}
+
+    def rooted_fiber(r):
+        if r not in fiber_at:
+            fiber_at[r] = _dict_ahu_labels(fiber.adj, r, table, zeros, 0)
+        return fiber_at[r]
+
+    img = [-1] * x.order
+    centers = _old_centers(fiber.adj)
+
+    def free(i):
+        comp = comps[i]
+        r = comp[_old_centers(_local_adj(x.adj, comp, owner, i))[0]]
+        t = _dict_ahu_labels(x.adj, r, table, owner, i)
+        return any(_pair_rooted(t, r, rooted_fiber(c), c, img)
+                   for c in centers)
+
+    fval = [None] * k
+    if not free(k - 1):
+        raise InconsistentTraceError("final component is not a copy of the "
+                                     "fiber")
+    for i in range(k - 2, -1, -1):
+        near, far = trace.links[i]
+        j = owner[far]
+        if img[far] < 0 or owner[near] != i:
+            raise InconsistentTraceError(
+                "peel edge points into a fiber peeled earlier")
+        if fval[j] is None:
+            if not free(i):
+                raise InconsistentTraceError(
+                    f"component of base vertex {i} is not a copy of the "
+                    "fiber")
+            fval[j] = img[near]
+        elif not _pair_rooted(_dict_ahu_labels(x.adj, near, table, owner, i),
+                              near, rooted_fiber(fval[j]), fval[j], img):
+            raise InconsistentTraceError(
+                f"no fiber isomorphism sends the near endpoint of base "
+                f"vertex {i} to the already fixed value {fval[j]}")
+        fval[i] = img[far]
+
+    if None in fval:
+        raise InconsistentTraceError("some base vertex received no map value")
+    _certify(x, owner, img, base, fiber, fval)
+    return VertexMap(k, n2, tuple(fval))
+
+
+def _differential_inputs(rng, count):
+    """Products of random trees and of paths, and random trees of composite
+    order (mostly not products), each kind half in shuffled vertex order."""
+    for k in range(count):
+        kind = k % 3
+        if kind == 2:
+            x = random_tree(rng.choice([12, 16, 18, 24, 30, 36]), rng)
+        else:
+            n1, n2 = rng.randint(2, 9), rng.randint(2, 9)
+            t1, t2 = ((random_tree(n1, rng), random_tree(n2, rng))
+                      if kind == 0 else (path(n1), path(n2)))
+            f = VertexMap(n1, n2, tuple(rng.randrange(n2) for _ in range(n1)))
+            x = sierpinski_product(t1, t2, f).graph
+        if (k // 3) % 2:
+            perm = list(range(x.order))
+            rng.shuffle(perm)
+            x = x.relabel(perm)
+        yield x
+
+
+def _outcome(out):
+    return out.status, out.diagnostics, [
+        (fact.base, fact.fiber, fact.vmap, fact.peel_trace.owner,
+         fact.peel_trace.links) for fact in out.factorizations]
+
+
+def test_recognition_matches_the_dict_labelling_oracle(monkeypatch):
+    # status, diagnostics and every factorization's base, fiber, map,
+    # owners and links, against the same recognition run on the oracle's
+    # map reconstruction
+    rng = random.Random(53)
+    factored = rejected = 0
+    for x in _differential_inputs(rng, 420):
+        got = _outcome(recognize_tree_product(x))
+        with monkeypatch.context() as m:
+            m.setattr(recognition, "reconstruct_map", _dict_reconstruct_map)
+            assert got == _outcome(recognize_tree_product(x))
+        factored += len(got[2])
+        rejected += any(reason.startswith("map reconstruction failed")
+                        for reason in got[1].values())
+    assert factored > 400 and rejected > 0
+
+
+def _hand_built_traces():
+    """The traces, bases and fibers of the reconstruct_map rejection tests
+    below, and the two-triangle trace that certifies K2 ⊗ K3."""
+    prod = sierpinski_product(path(3), path(3), VertexMap.constant(3, 3, 0))
+    fact = next(f for f in recognize_tree_product(prod.graph).factorizations
+                if f.base.order == 3)
+    trace, base, fiber = fact.peel_trace, fact.base, fact.fiber
+    near, far = trace.links[0]
+    other = next(v for v in _components(trace)[0] if v != near)
+    cycle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    other_base = next(t for t in (path(3), star(2))
+                      if set(t.edges()) != set(base.edges()))
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                     (3, 5), (2, 3)])
+    cases = [
+        (PeelTrace(trace.source, trace.owner,
+                   ((other, far),) + trace.links[1:]), base, fiber),
+        (trace, cycle, fiber), (trace, other_base, fiber),
+        (trace, base, cycle),
+        (PeelTrace(path(6), (0, 1, 0, 1, 0, 1), ((4, 5),)), path(2),
+         path(3)),
+        (PeelTrace(triangles, (1, 1, 1, 0, 0, 0), ((3, 2),)), path(2),
+         path(3)),
+        (PeelTrace(triangles, (1, 1, 1, 0, 0, 0), ((3, 2),)), path(2),
+         cycle),
+        (PeelTrace(path(4), (0, 0, 1, 1), ((1, 99),)), path(2), path(2)),
+        (PeelTrace(path(4), (0, 0, 1, 1), ((-3, 2),)), path(2), path(2)),
+        (PeelTrace(path(4), (0, 0, 0, 1), ((2, 3),)), path(2), path(2)),
+        (PeelTrace(path(6), (0, 0, 1, 1, 2, 2), ((1, 2), (0, 1))), path(3),
+         path(2)),
+    ]
+    for owner in (trace.owner[:-1], trace.owner + (0,),
+                  trace.owner[:-1] + (3,), (-1,) + trace.owner[1:]):
+        cases.append((PeelTrace(trace.source, owner, trace.links), base,
+                      fiber))
+    return cases
+
+
+def _result(rebuild, trace, base, fiber):
+    try:
+        return rebuild(trace, base, fiber)
+    except InconsistentTraceError as exc:
+        return str(exc)
+
+
+def test_hand_built_traces_match_the_dict_labelling_oracle():
+    results = [(_result(reconstruct_map, *case),
+                _result(_dict_reconstruct_map, *case))
+               for case in _hand_built_traces()]
+    assert all(got == want for got, want in results)
+    # only K2 ⊗ K3, cut into its two triangles, certifies
+    assert [got for got, _ in results
+            if isinstance(got, VertexMap)] == [VertexMap(2, 3, (2, 0))]
+
+
+def test_in_place_centers_match_the_induced_tree():
+    # every component of every cut, and every whole tree, against the
+    # centers of a relabelled copy
+    rng = random.Random(54)
+    checked = 0
+    for x in _differential_inputs(rng, 90):
+        n = x.order
+        assert _centers(x.adj, range(n), bytes(n), 0) == _old_centers(x.adj)
+        rooting = _rooting(x)
+        for n2 in range(2, n // 2 + 1):
+            if n % n2:
+                continue
+            trace, _ = _peel_trace(x, n // n2, n2, rooting)
+            if trace is None:
+                continue
+            for i, comp in enumerate(_components(trace)):
+                assert _centers(x.adj, comp, trace.owner, i) == [
+                    comp[c] for c in tree_centers(x.induced(comp))]
+                checked += 1
+    assert checked > 1000
+    # with no leaf to peel, every vertex is left and the least comes first
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                     (3, 5), (2, 3)])
+    owner = (1, 1, 1, 0, 0, 0)
+    assert _centers(triangles.adj, [3, 4, 5], owner, 0) == [3, 4, 5]
+    assert _centers(triangles.adj, [0, 1, 2], owner, 1) == [0, 1, 2]
+    assert _centers(path(6).adj, [1, 3, 5], (0, 1) * 3, 1) == [1, 3, 5]
+
+
+_NOT_A_TREE = {"*": "not a tree, so not a product of trees"}
+
+
+@pytest.mark.parametrize("order, edges, diagnostics", [
+    # order - 1 edges but not connected: a triangle and an isolated vertex,
+    # with the preorder's root on either side
+    (4, [(0, 1), (1, 2), (0, 2)], _NOT_A_TREE),
+    (4, [(1, 2), (2, 3), (1, 3)], _NOT_A_TREE),
+    (10, [(v, (v + 1) % 9) for v in range(9)], _NOT_A_TREE),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], _NOT_A_TREE),
+    (1, [], {"*": "order 1 admits no factorization n1*n2 with both >= 2"}),
+])
+def test_tree_check_status_and_diagnostics(order, edges, diagnostics):
+    out = recognize_tree_product(Graph.from_edges(order, edges))
+    assert (out.status, out.factorizations, out.diagnostics) == (
+        "not_a_product", [], diagnostics)
